@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .core import Bihypergraph, Verdict, family_intersection
+from .core import Antichain, Bihypergraph, Verdict, family_intersection
 
 CRITERION_ALL_LARGE_SUBSETS = "all-large-subsets"
 CRITERION_UPSET_BOUND = "upset-bound"
@@ -80,13 +80,11 @@ def upset_bound_check(b: Bihypergraph,
         return ConditionReport(
             crit, Verdict.UNKNOWN,
             note=f"|V| = {n} exceeds the enumeration cap {max_vertices}")
-    minimal: list[int] = []
-    for vs in sorted({s.mask for s in b.e_sets} | {s.mask for s in b.f_sets},
-                     key=lambda m: m.bit_count()):
-        if not any(m & vs == m for m in minimal):
-            minimal.append(vs)
-    count = sum(1 for mask in range(1 << n)
-                if any(m & mask == m for m in minimal))
+    minimal = Antichain()
+    for s in itertools.chain(b.e_sets, b.f_sets):
+        if not minimal.has_subset(s.mask):
+            minimal.add(s.mask)
+    count = sum(1 for mask in range(1 << n) if minimal.has_subset(mask))
     # Strict comparison against 2^(n-1), kept integral as 2*count < 2^n.
     verdict = Verdict.HAS_S if 2 * count < (1 << n) else Verdict.UNKNOWN
     threshold = (1 << (n - 1)) if n else Fraction(1, 2)

@@ -102,6 +102,96 @@ class VertexSet:
         return self.mask & ~other.mask == 0
 
 
+class Antichain:
+    """Subset-minimal bitmasks with payloads, kept in insertion order.
+
+    ``sets`` maps each kept mask to its payload.  Two indexes answer the
+    subsumption queries without scanning every kept mask (the forward and
+    backward subsumption of Een & Biere, SAT 2005):
+
+    * each nonempty mask is filed once, under its lowest member bit, so
+      "is some kept mask a subset of u?" visits only the buckets of u's own
+      members;
+    * each member bit has an occurrence set of the kept masks containing it,
+      so "which kept masks are supersets of u?" scans the shortest
+      occurrence set among u's members.
+
+    The empty mask is filed nowhere: when kept it is the only mask, and
+    ``sets`` answers for it.
+    """
+
+    __slots__ = ("sets", "_by_low", "_occurs")
+
+    def __init__(self) -> None:
+        self.sets: dict[int, Any] = {}
+        self._by_low: dict[int, set[int]] = {}
+        self._occurs: dict[int, set[int]] = {}
+
+    def has_subset(self, u: int) -> bool:
+        """True iff some kept mask is a subset of ``u`` (or equals it)."""
+        if 0 in self.sets:
+            return True
+        by_low = self._by_low
+        rest = u
+        while rest:
+            bit = rest & -rest
+            bucket = by_low.get(bit)
+            if bucket:
+                for k in bucket:
+                    if k & u == k:
+                        return True
+            rest ^= bit
+        return False
+
+    def supersets(self, u: int) -> list[int]:
+        """Every kept mask that is a superset of ``u`` (or equals it)."""
+        if not u:
+            return list(self.sets)
+        occurs = self._occurs
+        shortest: set[int] | None = None
+        rest = u
+        while rest:
+            bit = rest & -rest
+            found = occurs.get(bit)
+            if not found:
+                return []
+            if shortest is None or len(found) < len(shortest):
+                shortest = found
+            rest ^= bit
+        return [k for k in shortest if k & u == u]  # type: ignore[union-attr]
+
+    def add(self, mask: int, payload: Any = None) -> list[int]:
+        """Keep ``mask`` after its last insertion, dropping and returning
+        every kept strict superset.  The caller guarantees that no kept
+        mask is a subset of ``mask`` (``has_subset`` is false)."""
+        removed = self.supersets(mask)
+        sets, by_low, occurs = self.sets, self._by_low, self._occurs
+        for k in removed:
+            del sets[k]
+            by_low[k & -k].discard(k)
+            rest = k
+            while rest:
+                bit = rest & -rest
+                occurs[bit].discard(k)
+                rest ^= bit
+        sets[mask] = payload
+        if mask:
+            low = mask & -mask
+            if low in by_low:
+                by_low[low].add(mask)
+            else:
+                by_low[low] = {mask}
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                if bit in occurs:
+                    occurs[bit].add(mask)
+                else:
+                    occurs[bit] = {mask}
+                rest ^= bit
+        return removed
+
+
 @dataclass(frozen=True)
 class SPartition:
     """The witnessing cell X of an S-partition {X, V-X}."""
@@ -264,12 +354,13 @@ def check_s_partition(b: Bihypergraph, x: VertexSet) -> bool:
     """True iff {x, V-x} is an S-partition of b.
 
     Computed both as "V-x meets every F-set" and as "x contains no F-set";
-    the two formulations must agree, and the agreement is asserted.
+    the two formulations must agree, and RuntimeError is raised if not.
     """
     comp = b.complement(x)
     f_via_complement = is_transversal(comp, b.f_sets)
     f_via_containment = not any(f.issubset(x) for f in b.f_sets)
-    assert f_via_complement == f_via_containment
+    if f_via_complement != f_via_containment:
+        raise RuntimeError("the two F-side tests of an S-partition disagree")
     return is_transversal(x, b.e_sets) and f_via_complement
 
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Bihypergraph, Certificate, Verdict, VertexSet
+from .core import Antichain, Bihypergraph, Certificate, Verdict, VertexSet
 
 
 class ResourceLimitError(Exception):
@@ -26,7 +26,12 @@ class ResourceLimitError(Exception):
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps on closure work: kept sets, rounds, and per-pivot fan-out."""
+    """Caps on closure work: kept sets and rounds.
+
+    ``max_sets`` also caps the partial unions kept at one level of a
+    pivot's union DP; there is no separate fan-out cap and no work or time
+    budget.
+    """
 
     max_sets: int = 1_000_000
     max_rounds: int = 10_000
@@ -165,9 +170,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _pivot_resolvents(working: list[tuple[int, tuple]], pivot_mask: int,
+def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
                       limits: Limits, stats: _Stats,
-                      prune_against: list[tuple[int, tuple]] | None = None):
+                      prune_against: Antichain | None = None):
     """All resolvents of ``working`` on one pivot, subsumption-reduced.
 
     Runs a union DP over the pivot elements in ascending id order: partial
@@ -175,47 +180,42 @@ def _pivot_resolvents(working: list[tuple[int, tuple]], pivot_mask: int,
     antichain per level.  Pruning preserves the minimal resolvents exactly
     (a dominated partial union can only lead to a dominated resolvent) and
     keeps the fan-out polynomial in practice where literal pairing
-    enumeration is exponential in the pivot size.
+    enumeration is exponential in the pivot size.  Each level's states are
+    an indexed ``Antichain``, visited in insertion order; the first pairing
+    found for a state is the one recorded.
 
     Returns a list of (mask, pairing) with pairing as in _Trace.  When
-    ``prune_against`` is given, resolvents that are supersets of any of
-    those masks are dropped early; callers that will reject such resolvents
-    anyway (the closure loop) use this, the public enumeration must not.
+    ``prune_against`` is given, partial unions that are supersets of one of
+    its masks are dropped early; callers that will reject such resolvents
+    anyway (the closure loop, passing its own antichain) use this, the
+    public enumeration must not.  No state kept at a level is a superset of
+    a mask of ``prune_against``, so dropping a union before it could evict
+    supersets of itself loses nothing.
     """
     elems = _bits(pivot_mask)
     states: dict[int, tuple | None] = {0: None}
     level_maps: list[dict[int, tuple]] = []
+    pruned = prune_against.has_subset if prune_against is not None else None
     for v in elems:
         bit = 1 << v
         choices = [(m & ~bit, ref) for m, ref in working if m & bit]
         if not choices:
             return []
-        nxt: dict[int, tuple] = {}
+        nxt = Antichain()
+        dominated = nxt.has_subset
         for s in states:
             for cm, ref in choices:
                 u = s | cm
-                if u in nxt:
+                if dominated(u) or (pruned is not None and pruned(u)):
                     continue
-                dominated = False
-                for k in nxt:
-                    if k & u == k:
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-                for k in [k for k in nxt if u & k == u]:
-                    del nxt[k]
-                if prune_against is not None and any(
-                        am & u == am for am, _ in prune_against):
-                    continue
-                nxt[u] = (s, v, ref)
-                if len(nxt) > limits.max_sets:
+                nxt.add(u, (s, v, ref))
+                if len(nxt.sets) > limits.max_sets:
                     raise ResourceLimitError(
                         f"pivot fan-out exceeded max_sets={limits.max_sets}")
-        if not nxt:
+        if not nxt.sets:
             return []
-        states = nxt
-        level_maps.append(nxt)
+        states = nxt.sets
+        level_maps.append(states)
 
     finals = []
     for final_mask in states:
@@ -245,40 +245,36 @@ def all_resolvents(working: Iterable[VertexSet], pivot: VertexSet,
     return tuple(sorted((VertexSet(m) for m, _ in finals), key=lambda v: v.members))
 
 
-def _run_closure(base_items: list[tuple[int, tuple]],
-                 pivot_items: list[tuple[int, tuple]],
+def _run_closure(base_items: Iterable[tuple[int, tuple]],
+                 pivot_items: Iterable[tuple[int, tuple]],
                  limits: Limits, trace: _Trace, stats: _Stats):
     """Close ``base_items`` under resolution on ``pivot_items``.
 
-    Maintains the kept sets as an antichain (only subset-minimal sets
-    survive) and stops as soon as the empty set is derived.  Termination:
-    each distinct mask is admitted at most once, because every admitted mask
-    leaves behind a kept subset of itself for the rest of the run.
+    Maintains the kept sets as an indexed ``Antichain`` (only subset-minimal
+    sets survive), which also prunes each pivot's union DP, and stops as
+    soon as the empty set is derived.  Termination: each distinct mask is
+    admitted at most once, because every admitted mask leaves behind a kept
+    subset of itself for the rest of the run.
 
-    Returns (antichain, contains_empty) where antichain is a list of
-    (mask, ref) in insertion order.
+    Returns (antichain, contains_empty) where antichain maps each kept mask
+    to its ref, in insertion order; when contains_empty, the empty mask is
+    its only key.
     """
-    antichain: list[tuple[int, tuple]] = []
-
-    def is_subsumed(mask: int) -> bool:
-        return any(m & mask == m for m, _ in antichain)
+    antichain = Antichain()
 
     def insert(mask: int, ref: tuple) -> None:
-        keep = [(m, r) for m, r in antichain if mask & m != mask]
-        stats.subsumed += len(antichain) - len(keep)
-        antichain[:] = keep
-        antichain.append((mask, ref))
+        stats.subsumed += len(antichain.add(mask, ref))
         stats.kept += 1
         if stats.kept > limits.max_sets:
             raise ResourceLimitError(f"kept-set limit {limits.max_sets} exceeded")
 
     for mask, ref in base_items:
-        if is_subsumed(mask):
+        if antichain.has_subset(mask):
             stats.subsumed += 1
             continue
         insert(mask, ref)
         if mask == 0:
-            return antichain, True
+            return antichain.sets, True
 
     pivots = []
     seen_pivots: set[int] = set()
@@ -294,18 +290,18 @@ def _run_closure(base_items: list[tuple[int, tuple]],
             raise ResourceLimitError(f"round limit {limits.max_rounds} exceeded")
         changed = False
         for dmask, dref in pivots:
-            finals = _pivot_resolvents(list(antichain), dmask, limits, stats,
-                                       prune_against=antichain)
+            finals = _pivot_resolvents(antichain.sets.items(), dmask, limits,
+                                       stats, prune_against=antichain)
             for mask, pairing in finals:
-                if is_subsumed(mask):
+                if antichain.has_subset(mask):
                     stats.subsumed += 1
                     continue
                 idx = trace.add(mask, dref, pairing)
                 insert(mask, ("step", idx))
                 changed = True
                 if mask == 0:
-                    return antichain, True
-    return antichain, False
+                    return antichain.sets, True
+    return antichain.sets, False
 
 
 def _family_items(b: Bihypergraph, side: str) -> list[tuple[int, tuple]]:
@@ -314,7 +310,7 @@ def _family_items(b: Bihypergraph, side: str) -> list[tuple[int, tuple]]:
 
 
 def _closure_result(antichain, contains_empty, stats: _Stats) -> ClosureResult:
-    sets = tuple(sorted((VertexSet(m) for m, _ in antichain), key=lambda v: v.members))
+    sets = tuple(sorted((VertexSet(m) for m in antichain), key=lambda v: v.members))
     return ClosureResult(sets, contains_empty, stats.freeze())
 
 
@@ -337,15 +333,15 @@ def _alternating_items(b: Bihypergraph, n: int, side: str, limits: Limits,
 
     Returns (antichain, contains_empty) of the requested level.
     """
-    memo: dict[tuple[str, int], tuple[list, bool]] = {}
+    memo: dict[tuple[str, int], tuple[dict, bool]] = {}
 
     def level(s: str, k: int):
         key = (s, k)
         if key not in memo:
             if k == 0:
-                pivots: list[tuple[int, tuple]] = []
+                pivots: Iterable[tuple[int, tuple]] = ()
             else:
-                pivots = level("F" if s == "E" else "E", k - 1)[0]
+                pivots = level("F" if s == "E" else "E", k - 1)[0].items()
             memo[key] = _run_closure(_family_items(b, s), pivots, limits,
                                      trace, stats)
         return memo[key]
@@ -461,7 +457,7 @@ def decide_by_resolution(b: Bihypergraph, strategy: str = "ef",
                                                   trace, stats)
     if not has_empty:
         return Certificate(Verdict.HAS_S, None, "resolution", stats.freeze())
-    ref = antichain[-1][1]
+    ref = antichain[0]  # the empty mask, by now the only kept one
     witness = None
     if ref[0] == "step":
         witness = _extract_refutation(b, trace, ref[1], mode)

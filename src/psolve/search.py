@@ -261,7 +261,8 @@ def decide_2sat(b: Bihypergraph) -> Certificate:
         assign[v] = 1 if comp[2 * v] < comp[2 * v + 1] else 0
 
     x = VertexSet.of(v for v in range(n) if assign[v] == 1)
-    assert check_s_partition(b, x)
+    if not check_s_partition(b, x):
+        raise RuntimeError("2-SAT assignment is not an S-partition")
     return Certificate(Verdict.HAS_S, SPartition(x), method="2sat")
 
 
@@ -286,7 +287,8 @@ def decide(b: Bihypergraph, method: str = "search", strategy: str = "ef",
         cert = decide_by_resolution(b, strategy, limits)
         if cert.verdict is Verdict.HAS_S:
             x = _search_witness(b)
-            assert x is not None, "resolution said HasS but no partition exists"
+            if x is None:
+                raise RuntimeError("resolution said HasS but no partition exists")
             cert = replace(cert, witness=SPartition(x))
     elif method == "2sat":
         cert = decide_2sat(b)
@@ -298,9 +300,11 @@ def decide(b: Bihypergraph, method: str = "search", strategy: str = "ef",
     if (proof_on_fail and cert.verdict is Verdict.FAILS_S
             and cert.witness is None and method != "resolution"):
         follow_up = decide_by_resolution(b, strategy, limits)
-        assert follow_up.verdict is Verdict.FAILS_S
+        if follow_up.verdict is not Verdict.FAILS_S:
+            raise RuntimeError(f"{method} said FailsS but resolution said HasS")
         cert = replace(cert, witness=follow_up.witness)
 
     if cert.verdict is Verdict.HAS_S and cert.witness is not None:
-        assert check_s_partition(b, cert.witness.x_side)
+        if not check_s_partition(b, cert.witness.x_side):
+            raise RuntimeError(f"{method} returned a witness that is not an S-partition")
     return cert

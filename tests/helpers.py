@@ -190,3 +190,25 @@ def grid_lists_instance() -> Bihypergraph:
     return build(names, e_sets, f_sets,
                  e_labels=[str(i) for i in range(1, 7)],
                  f_labels=["A", "B", "C", "D", "E", "F", "G", "H"])
+
+
+class LinearAntichain:
+    """Reference for ``psolve.core.Antichain`` with the same interface:
+    every query scans all kept masks, as the engine did before the
+    subsumption index."""
+
+    def __init__(self) -> None:
+        self.sets: dict = {}
+
+    def has_subset(self, u: int) -> bool:
+        return any(k & u == k for k in self.sets)
+
+    def supersets(self, u: int) -> list[int]:
+        return [k for k in self.sets if u & k == u]
+
+    def add(self, mask: int, payload=None) -> list[int]:
+        removed = self.supersets(mask)
+        for k in removed:
+            del self.sets[k]
+        self.sets[mask] = payload
+        return removed

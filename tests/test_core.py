@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from psolve import (SPartition, Verdict, VertexSet, build, check_s_partition,
                     family_intersection, is_transversal, validate)
+from psolve.core import Antichain
 
-from helpers import all_s_partitions, six_clause_instance
+from helpers import LinearAntichain, all_s_partitions, six_clause_instance
 
 
 class TestVertexSet:
@@ -211,7 +212,29 @@ def test_dual_formulation_agreement_random(n, data):
         min_size=0, max_size=4))
     b = build(names, [], fam)
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    check_s_partition(b, VertexSet(mask))  # internal assertion is the oracle
+    check_s_partition(b, VertexSet(mask))  # its internal check is the oracle
+
+
+@pytest.mark.parametrize("kind", [Antichain, LinearAntichain])
+@given(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=255)),
+                max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_antichain_matches_brute_force(kind, ops):
+    """Subset, superset and add answers against a plain list of the kept
+    masks, over random masks on 8 vertices (the empty mask included)."""
+    chain, kept = kind(), []
+    for insert, u in ops:
+        has_subset = any(k & u == k for k in kept)
+        assert chain.has_subset(u) is has_subset
+        supersets = [k for k in kept if k & u == u]
+        assert sorted(chain.supersets(u)) == sorted(supersets)
+        if insert and not has_subset:
+            assert sorted(chain.add(u, ("payload", u))) == sorted(supersets)
+            kept = [k for k in kept if k not in supersets] + [u]
+        assert list(chain.sets) == kept
+        assert all(chain.sets[k] == ("payload", k) for k in kept)
+    for a in kept:
+        assert not any(b != a and b & a == b for b in kept)
 
 
 def test_certificate_shapes():

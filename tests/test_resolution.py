@@ -4,11 +4,12 @@ import pytest
 
 from psolve import (Limits, Refutation, ResolutionStep, ResourceLimitError,
                     Verdict, VertexSet, all_resolvents, alternating_closure,
-                    build, check_refutation, closure, decide_by_resolution,
-                    resolve)
-from psolve.cli import bind_proof, parse_proof_text
+                    build, check_refutation, closure, conditions,
+                    decide_by_resolution, resolution, resolve,
+                    upset_bound_check)
+from psolve.cli import bind_proof, format_proof, parse_proof_text
 
-from helpers import (all_s_partitions, grid_lists_instance,
+from helpers import (LinearAntichain, all_s_partitions, grid_lists_instance,
                      naive_closure_contains_empty, rand_instance,
                      six_clause_instance)
 
@@ -400,3 +401,29 @@ def test_stats_track_work():
     assert stats.generated > 0 and stats.kept > 0 and stats.rounds >= 1
     idle = closure(b.e_sets, [])
     assert idle.stats.generated == 0 and idle.stats.rounds == 0
+
+
+def _subsumption_outputs(b):
+    out = [closure(b.e_sets, b.f_sets), closure(b.f_sets, b.e_sets),
+           alternating_closure(b, 2, "E"), upset_bound_check(b)]
+    for strategy in ("ef", "fe", "alt:2"):
+        cert = decide_by_resolution(b, strategy)
+        proof = format_proof(b, cert.witness) if cert.witness is not None else None
+        out.append((cert.verdict, cert.stats, proof))
+    return out
+
+
+def test_indexed_antichain_matches_linear_scans(monkeypatch):
+    """The subsumption index changes no closure, stats, verdict or proof
+    text: a stand-in that scans every kept mask gives identical output."""
+    rng = random.Random(4242)
+    instances = [rand_instance(rng, max_vertices=rng.choice((6, 9, 12)),
+                               max_sets=rng.choice((5, 8, 10)))
+                 for _ in range(300)]
+    indexed = [_subsumption_outputs(b) for b in instances]
+    monkeypatch.setattr(resolution, "Antichain", LinearAntichain)
+    monkeypatch.setattr(conditions, "Antichain", LinearAntichain)
+    linear = [_subsumption_outputs(b) for b in instances]
+    assert indexed == linear
+    refuted = [out for out in indexed if out[4][0] is Verdict.FAILS_S]
+    assert 0 < len(refuted) < len(indexed)

@@ -1,13 +1,19 @@
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from psolve import (Refutation, Verdict, VertexSet, build, check_refutation,
-                    check_s_partition, decide, decide_2sat)
+from psolve import (Refutation, Verdict, VertexSet, brute_force_decide, build,
+                    check_refutation, check_s_partition, decide, decide_2sat,
+                    search)
 from psolve.search import SetTooLargeError, _search_witness
 
 from helpers import (all_s_partitions, rand_instance,
                      six_clause_instance)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDecide:
@@ -156,6 +162,33 @@ class TestDecide2Sat:
             if cert.verdict is Verdict.HAS_S:
                 assert check_s_partition(b, cert.witness.x_side)
 
+    def test_scc_path_matches_oracle(self, monkeypatch):
+        # Pairs only: with no singleton set nothing is forced, so every
+        # instance reaches the strongly-connected-components analysis.
+        calls = []
+        tarjan = search._tarjan_components
+
+        def counted(*args):
+            calls.append(1)
+            return tarjan(*args)
+
+        monkeypatch.setattr(search, "_tarjan_components", counted)
+        rng = random.Random(67)
+        verdicts = set()
+        for count in range(1, 201):
+            n = rng.randint(2, 10)
+            names = [f"v{i}" for i in range(n)]
+
+            def family():
+                return [rng.sample(names, 2) for _ in range(rng.randint(0, 2 * n))]
+
+            b = build(names, family(), family())
+            cert = decide_2sat(b)
+            assert len(calls) == count
+            assert cert.verdict is brute_force_decide(b).verdict
+            verdicts.add(cert.verdict)
+        assert verdicts == {Verdict.HAS_S, Verdict.FAILS_S}
+
     def test_deterministic(self):
         rng = random.Random(61)
         for _ in range(50):
@@ -164,3 +197,27 @@ class TestDecide2Sat:
             second = decide_2sat(b)
             assert first.verdict == second.verdict
             assert first.witness == second.witness
+
+
+class TestSoundnessChecks:
+    """A wrong witness is an error, also under ``python -O``, which strips
+    assert statements."""
+
+    SCRIPT = (
+        "from psolve import VertexSet, build, decide, search\n"
+        "search._search_witness = lambda b: VertexSet(0)\n"
+        "print(decide(build(['a', 'b'], [['a']], [['b']])).verdict.value)\n"
+    )
+
+    def test_wrong_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "_search_witness", lambda b: VertexSet(0))
+        with pytest.raises(RuntimeError):
+            decide(build(["a", "b"], [["a"]], [["b"]]))
+
+    def test_wrong_witness_raises_under_optimize(self):
+        proc = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": str(SRC)})
+        assert proc.returncode != 0
+        assert "RuntimeError" in proc.stderr
+        assert "HasS" not in proc.stdout
