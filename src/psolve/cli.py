@@ -72,8 +72,13 @@ def parse_instance_text(text: str, path: str = "<instance>") -> Bihypergraph:
     ``v NAME`` declares a vertex, ``e [LABEL:] NAME*`` an E-set,
     ``f [LABEL:] NAME*`` an F-set.  Undeclared names are interned at first
     occurrence; omitted labels default to E1../F1.. by position.
+
+    Each distinct vertex name is checked once, at its first occurrence in
+    the file, so a bad name is reported at the line where it first appears;
+    ``build`` then checks the distinct names again without a line number.
     """
     declared: list[str] = []
+    accepted: set[str] = set()
     entries: dict[str, list[tuple[str | None, tuple[str, ...]]]] = {"e": [], "f": []}
     for lineno, line in _content_lines(text):
         tokens = line.split()
@@ -82,6 +87,7 @@ def parse_instance_text(text: str, path: str = "<instance>") -> Bihypergraph:
             if len(tokens) != 2:
                 raise ParseError("'v' takes exactly one vertex name", path, lineno)
             declared.append(_token(tokens[1], "vertex name", path, lineno))
+            accepted.add(tokens[1])
         elif tag in ("e", "f"):
             body = line[len(tag):].strip()
             label: str | None = None
@@ -95,7 +101,8 @@ def parse_instance_text(text: str, path: str = "<instance>") -> Bihypergraph:
             else:
                 members = tokens[1:]
             for name in members:
-                _token(name, "vertex name", path, lineno)
+                if name not in accepted:
+                    accepted.add(_token(name, "vertex name", path, lineno))
             entries[tag].append((label, tuple(members)))
         else:
             raise ParseError(f"unknown directive {tag!r} (expected v, e or f)",
@@ -143,6 +150,7 @@ def parse_proof_text(text: str, path: str = "<proof>"):
     mode: str | None = None
     steps: list[tuple[str, tuple[str, ...] | None, tuple[str, ...], str]] = []
     seen_ids: set[str] = set()
+    accepted: set[str] = set()
     for lineno, line in _content_lines(text):
         if mode is None:
             if not line.startswith("mode:"):
@@ -165,8 +173,10 @@ def parse_proof_text(text: str, path: str = "<proof>"):
         if conclusion_tokens == ["{}"]:
             conclusion: tuple[str, ...] | None = None
         else:
-            conclusion = tuple(_token(t, "vertex name", path, lineno)
-                               for t in conclusion_tokens)
+            for t in conclusion_tokens:
+                if t not in accepted:
+                    accepted.add(_token(t, "vertex name", path, lineno))
+            conclusion = tuple(conclusion_tokens)
         if right.count("/") != 1:
             raise ParseError("expected exactly one '/' between premises and pivot",
                              path, lineno)
@@ -265,10 +275,12 @@ def parse_graph(text: str, path: str = "<graph>") -> ColoringInstance:
     edges: list[tuple[str, str]] = []
     colors: int | None = None
     lists: dict[str, tuple[str, ...]] = {}
+    accepted_colors: set[str] = set()
 
-    def note(name: str) -> str:
+    def note(name: str, lineno: int) -> str:
+        """Check and intern a vertex name at its first occurrence."""
         if name not in known:
-            known.add(name)
+            known.add(_token(name, "graph vertex", path, lineno))
             order.append(name)
         return name
 
@@ -278,15 +290,14 @@ def parse_graph(text: str, path: str = "<graph>") -> ColoringInstance:
         if tag == "vertex":
             if len(tokens) != 2:
                 raise ParseError("'vertex' takes exactly one name", path, lineno)
-            name = _token(tokens[1], "graph vertex", path, lineno)
-            if name in known:
-                raise ParseError(f"duplicate vertex {name!r}", path, lineno)
-            note(name)
+            if tokens[1] in known:
+                raise ParseError(f"duplicate vertex {tokens[1]!r}", path, lineno)
+            note(tokens[1], lineno)
         elif tag == "edge":
             if len(tokens) != 3:
                 raise ParseError("'edge' takes exactly two vertex names", path, lineno)
-            a = note(_token(tokens[1], "graph vertex", path, lineno))
-            b = note(_token(tokens[2], "graph vertex", path, lineno))
+            a = note(tokens[1], lineno)
+            b = note(tokens[2], lineno)
             if a == b:
                 raise ParseError(f"self-loop edge on {a!r}", path, lineno)
             edges.append((a, b))
@@ -299,10 +310,13 @@ def parse_graph(text: str, path: str = "<graph>") -> ColoringInstance:
         elif tag == "list":
             if len(tokens) < 2:
                 raise ParseError("'list' takes a vertex name and its colors", path, lineno)
-            name = note(_token(tokens[1], "graph vertex", path, lineno))
+            name = note(tokens[1], lineno)
             if name in lists:
                 raise ParseError(f"duplicate 'list' line for {name!r}", path, lineno)
-            lists[name] = tuple(_token(t, "color", path, lineno) for t in tokens[2:])
+            for t in tokens[2:]:
+                if t not in accepted_colors:
+                    accepted_colors.add(_token(t, "color", path, lineno))
+            lists[name] = tuple(tokens[2:])
         else:
             raise ParseError(f"unknown directive {tag!r}", path, lineno)
     list_field = tuple(lists.get(v, ()) for v in order) if lists else None
@@ -315,7 +329,9 @@ def parse_graph(text: str, path: str = "<graph>") -> ColoringInstance:
 def parse_sdr(text: str, path: str = "<sdr>") -> SdrInstance:
     """SDR format: one ``set INDEX: ELEM*`` line per indexed set."""
     labels: list[str] = []
+    seen_labels: set[str] = set()
     families: list[tuple[str, ...]] = []
+    accepted: set[str] = set()
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if tokens[0] != "set":
@@ -329,11 +345,15 @@ def parse_sdr(text: str, path: str = "<sdr>") -> SdrInstance:
         if len(index_tokens) != 1:
             raise ParseError("expected a single index before ':'", path, lineno)
         label = _token(index_tokens[0], "set index", path, lineno)
-        if label in labels:
+        if label in seen_labels:
             raise ParseError(f"duplicate set index {label!r}", path, lineno)
+        seen_labels.add(label)
         labels.append(label)
-        families.append(tuple(_token(t, "element", path, lineno)
-                              for t in elem_part.split()))
+        elems = elem_part.split()
+        for t in elems:
+            if t not in accepted:
+                accepted.add(_token(t, "element", path, lineno))
+        families.append(tuple(elems))
     try:
         return SdrInstance(tuple(labels), tuple(families))
     except ValueError as exc:

@@ -14,14 +14,20 @@ from typing import Any, Iterable, Iterator
 
 # Characters with structural meaning in the text formats; names and labels
 # may not contain them.
-_FORBIDDEN_CHARS = set(" \t\r\n\f\v#:,/<")
+_FORBIDDEN_CHARS = frozenset(" \t\r\n\f\v#:,/<")
 
 
 def check_token(token: str, what: str = "name") -> str:
-    """Validate a vertex name or label for use in the line-oriented formats."""
+    """Validate a vertex name or label for use in the line-oriented formats.
+
+    This is the one token predicate.  It runs where names and labels come
+    in: the text parsers, ``build``, ``Bihypergraph`` and the encoders'
+    input types.  Each of them checks a distinct token once, at its first
+    occurrence, so the first bad token is still the one reported.
+    """
     if not isinstance(token, str) or not token:
         raise ValueError(f"empty {what} token")
-    if token == "{}" or not token.isprintable() or any(c in _FORBIDDEN_CHARS for c in token):
+    if token == "{}" or not token.isprintable() or not _FORBIDDEN_CHARS.isdisjoint(token):
         raise ValueError(
             f"invalid {what} {token!r}: tokens may not be '{{}}' or contain "
             "whitespace or any of '#:,/<'"
@@ -288,6 +294,10 @@ def build(names: Iterable[str] = (),
     Names listed in ``names`` are interned first, in the given order; any
     name appearing only inside a set is interned at first occurrence.
     Labels default to E1..En and F1..Fm.
+
+    Each distinct name is checked with ``check_token`` once, when it is
+    interned, so the first bad name in that order is the one reported;
+    ``Bihypergraph`` then checks the names and labels as a whole.
     """
     interned: dict[str, int] = {}
     order: list[str] = []
@@ -298,15 +308,24 @@ def build(names: Iterable[str] = (),
         interned[name] = len(order)
         order.append(name)
 
-    def intern(name: str) -> int:
-        check_token(name, "vertex name")
-        if name not in interned:
-            interned[name] = len(order)
-            order.append(name)
-        return interned[name]
+    def masks(sets: Iterable[Iterable[str]]) -> tuple[VertexSet, ...]:
+        out = []
+        for s in sets:
+            mask = 0
+            for name in s:
+                # Only a str can be interned; anything else goes to
+                # check_token, which rejects it before it is hashed.
+                i = interned.get(name) if isinstance(name, str) else None
+                if i is None:
+                    check_token(name, "vertex name")
+                    i = interned[name] = len(order)
+                    order.append(name)
+                mask |= 1 << i
+            out.append(VertexSet(mask))
+        return tuple(out)
 
-    e_vs = tuple(VertexSet.of(intern(n) for n in s) for s in e_sets)
-    f_vs = tuple(VertexSet.of(intern(n) for n in s) for s in f_sets)
+    e_vs = masks(e_sets)
+    f_vs = masks(f_sets)
     e_lab = tuple(e_labels) if e_labels is not None else tuple(f"E{i + 1}" for i in range(len(e_vs)))
     f_lab = tuple(f_labels) if f_labels is not None else tuple(f"F{i + 1}" for i in range(len(f_vs)))
     return Bihypergraph(tuple(order), e_vs, f_vs, e_lab, f_lab)

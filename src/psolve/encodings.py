@@ -163,14 +163,19 @@ class ColoringInstance:
             if len(self.lists) != len(self.vertices):
                 raise ValueError("one color list per vertex required")
             deduped = []
+            checked: set[str] = set()
             for colors in self.lists:
                 for c in colors:
-                    check_token(c, "color")
+                    # A non-str skips the lookup: check_token rejects it
+                    # before it is hashed.
+                    if not (isinstance(c, str) and c in checked):
+                        checked.add(check_token(c, "color"))
                 deduped.append(tuple(dict.fromkeys(colors)))
             object.__setattr__(self, "lists", tuple(deduped))
 
     def list_of(self, vertex: str) -> tuple[str, ...]:
-        assert self.lists is not None
+        if self.lists is None:
+            raise ValueError("instance has no color lists")
         return self.lists[self.vertices.index(vertex)]
 
 
@@ -256,9 +261,13 @@ class SdrInstance:
                 raise ValueError(f"duplicate set index {label!r}")
             seen.add(label)
         deduped = []
+        checked: set[str] = set()
         for elems in self.families:
             for e in elems:
-                check_token(e, "element")
+                # A non-str skips the lookup: check_token rejects it
+                # before it is hashed.
+                if not (isinstance(e, str) and e in checked):
+                    checked.add(check_token(e, "element"))
             deduped.append(tuple(dict.fromkeys(elems)))
         object.__setattr__(self, "families", tuple(deduped))
 

@@ -186,9 +186,9 @@ def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
 
     Returns a list of (mask, pairing) with pairing as in _Trace.  When
     ``prune_against`` is given, partial unions that are supersets of one of
-    its masks are dropped early; callers that will reject such resolvents
-    anyway (the closure loop, passing its own antichain) use this, the
-    public enumeration must not.  No state kept at a level is a superset of
+    its masks are dropped early.  The closure loop passes its own antichain
+    and inserts the finals with no further subsumption test; the public
+    enumeration must not prune.  No state kept at a level is a superset of
     a mask of ``prune_against``, so dropping a union before it could evict
     supersets of itself loses nothing.
     """
@@ -292,10 +292,9 @@ def _run_closure(base_items: Iterable[tuple[int, tuple]],
         for dmask, dref in pivots:
             finals = _pivot_resolvents(antichain.sets.items(), dmask, limits,
                                        stats, prune_against=antichain)
+            # No final needs a subsumption test: the DP pruned each against
+            # this antichain, and the finals are an antichain themselves.
             for mask, pairing in finals:
-                if antichain.has_subset(mask):
-                    stats.subsumed += 1
-                    continue
                 idx = trace.add(mask, dref, pairing)
                 insert(mask, ("step", idx))
                 changed = True

@@ -12,6 +12,21 @@ import random
 
 from psolve import Bihypergraph, build
 
+_FORBIDDEN_CHARS = set(" \t\r\n\f\v#:,/<")
+
+
+def reference_check_token(token, what: str = "name"):
+    """Reference for ``psolve.core.check_token``: the same rules, with the
+    forbidden characters found by a per-character scan."""
+    if not isinstance(token, str) or not token:
+        raise ValueError(f"empty {what} token")
+    if token == "{}" or not token.isprintable() or any(c in _FORBIDDEN_CHARS for c in token):
+        raise ValueError(
+            f"invalid {what} {token!r}: tokens may not be '{{}}' or contain "
+            "whitespace or any of '#:,/<'"
+        )
+    return token
+
 
 def all_s_partitions(b: Bihypergraph) -> list[frozenset[int]]:
     """Every X subseteq V forming an S-partition, via plain Python sets."""

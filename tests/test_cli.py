@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from psolve import ColoringInstance, SdrInstance, build
 from psolve.cli import (EXIT_DATA, EXIT_FAILS_S, EXIT_HAS_S,
                         EXIT_INDETERMINATE, EXIT_NOINPUT, EXIT_USAGE,
-                        format_instance, main, parse_instance_text)
+                        ParseError, format_instance, main, parse_graph,
+                        parse_instance_text, parse_proof_text, parse_sdr)
+from psolve.core import check_token
 
 from helpers import rand_instance
 
@@ -59,6 +62,81 @@ class TestInstanceFormat:
             with pytest.raises(Exception) as info:
                 parse_instance_text(text, "f.bhg")
             assert fragment in str(info.value)
+
+
+def _rejection(token, what):
+    with pytest.raises(ValueError) as info:
+        check_token(token, what)
+    return str(info.value)
+
+
+class TestTokenChecks:
+    """Each parser checks a distinct token once, at its first occurrence:
+    a bad token is reported at the line where it first appears, and a good
+    one repeated on many lines parses as before."""
+
+    def _error(self, parse, lines):
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines) + "\n", "in")
+        return info.value
+
+    def test_instance_bad_name_line(self):
+        lines = (["v a", "# comment"] + ["e a b"] * 6
+                 + ["f b", "f L: b c,d", "e c,d", "e x{}"])
+        err = self._error(parse_instance_text, lines)
+        assert (err.line, err.message) == (10, _rejection("c,d", "vertex name"))
+
+    def test_instance_repeated_names(self):
+        text = "v a\n" + "e a b\n" * 40 + "f L: b c\n" + "f b c\n" * 39
+        f_labels = ["L"] + [f"F{i + 1}" for i in range(1, 40)]
+        assert parse_instance_text(text) == build(
+            ["a"], [["a", "b"]] * 40, [["b", "c"]] * 40, f_labels=f_labels)
+
+    def test_graph_bad_vertex_and_color_lines(self):
+        edges = [f"edge a{i} a{i + 1}" for i in range(5)]
+        err = self._error(parse_graph, edges + ["edge a0 b<c", "vertex b<c"])
+        assert (err.line, err.message) == (6, _rejection("b<c", "graph vertex"))
+        lists = [f"list a{i} r g" for i in range(6)]
+        err = self._error(parse_graph, edges + lists + ["list b g r/b", "list c r/b"])
+        assert (err.line, err.message) == (12, _rejection("r/b", "color"))
+
+    def test_graph_repeated_names(self):
+        lines = ["vertex a0"] + [f"edge a{i} a{i + 1}" for i in range(20)]
+        lines += [f"list a{i} r g r" for i in range(21)]
+        vertices = tuple(f"a{i}" for i in range(21))
+        edges = tuple((f"a{i}", f"a{i + 1}") for i in range(20))
+        assert parse_graph("\n".join(lines)) == ColoringInstance(
+            vertices, edges, lists=(("r", "g"),) * 21)
+
+    def test_sdr_bad_element_line(self):
+        lines = [f"set {i}: x y" for i in range(7)] + ["set 7: y x/z", "set 8: x/z"]
+        err = self._error(parse_sdr, lines)
+        assert (err.line, err.message) == (8, _rejection("x/z", "element"))
+
+    def test_sdr_duplicate_index_line(self):
+        lines = [f"set {i}: x" for i in range(5)] + ["set 2: y", "set 3: y"]
+        err = self._error(parse_sdr, lines)
+        assert (err.line, err.message) == (6, "duplicate set index '2'")
+
+    def test_sdr_repeated_elements(self):
+        text = "".join(f"set {i}: x y x\n" for i in range(30))
+        assert parse_sdr(text) == SdrInstance(
+            tuple(str(i) for i in range(30)), (("x", "y"),) * 30)
+
+    def test_proof_bad_conclusion_line(self):
+        lines = ["mode: alternating 1"]
+        lines += [f"s{i}: a b <- E1,F1 / F2" for i in range(5)]
+        lines += ["s5: a b,c <- s1 / F1", "s6: b,c <- s1 / F1"]
+        err = self._error(parse_proof_text, lines)
+        assert (err.line, err.message) == (7, _rejection("b,c", "vertex name"))
+
+    def test_proof_repeated_names(self):
+        text = "mode: alternating 1\n" + "".join(
+            f"s{i}: a b <- E1,F1 / F2\n" for i in range(30)) + "z: {} <- s1 / F1\n"
+        mode, steps = parse_proof_text(text)
+        assert mode == "alternating 1"
+        assert steps == [(f"s{i}", ("a", "b"), ("E1", "F1"), "F2")
+                         for i in range(30)] + [("z", None, ("s1",), "F1")]
 
 
 class TestDecideCommand:

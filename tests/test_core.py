@@ -4,11 +4,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psolve import (SPartition, Verdict, VertexSet, build, check_s_partition,
-                    family_intersection, is_transversal, validate)
-from psolve.core import Antichain
+from psolve import (Bihypergraph, SPartition, Verdict, VertexSet, build,
+                    check_s_partition, family_intersection, is_transversal,
+                    validate)
+from psolve.core import Antichain, check_token
 
-from helpers import LinearAntichain, all_s_partitions, six_clause_instance
+from helpers import (LinearAntichain, all_s_partitions, reference_check_token,
+                     six_clause_instance)
+
+
+def _outcome(check, *args):
+    try:
+        return ("accepted", check(*args))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+_FORBIDDEN = " \t\r\n\f\v#:,/<"
+_UNPRINTABLE = st.characters(categories=["Cc", "Cf", "Cs", "Zl", "Zp", "Zs"])
+_TOKENS = st.one_of(
+    st.text(),
+    st.sampled_from(list(_FORBIDDEN) + ["{}", "", "a{}", "{}{}"]),
+    st.builds(lambda a, c, b: a + c + b, st.text(max_size=5),
+              st.sampled_from(_FORBIDDEN) | _UNPRINTABLE, st.text(max_size=5)),
+    st.none(), st.integers(), st.binary(), st.lists(st.text(max_size=3)),
+)
+
+
+@given(_TOKENS, st.sampled_from(["name", "vertex name", "label", "color"]))
+@settings(max_examples=500, deadline=None)
+def test_check_token_matches_reference(token, what):
+    assert _outcome(check_token, token, what) == \
+        _outcome(reference_check_token, token, what)
 
 
 class TestVertexSet:
@@ -89,6 +116,28 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(["a", "b"], [["a"], ["b"]], [], e_labels=["L", "L"])
 
+    def test_bad_name_only_inside_a_set_rejected(self):
+        """Names met only inside sets are checked at first occurrence, so
+        the first bad one in E-then-F order is the one reported."""
+        for bad in ("a b", "x:y", "{}", "p,q", ""):
+            with pytest.raises(ValueError, match="vertex name"):
+                build(["a"], [["a"], ["a", "b"]], [["b", bad], [bad, "c/d"]])
+        with pytest.raises(ValueError, match="'x:y'"):
+            build([], [["a", "b"]] * 3, [["b", "x:y"], ["c/d"], ["x:y"]])
+
+    def test_non_str_names_rejected_as_values(self):
+        for bad in (["a"], 7, None, b"a"):
+            with pytest.raises(ValueError, match="empty vertex name token"):
+                build(["a"], [["a", bad]], [])
+            with pytest.raises(ValueError, match="empty vertex name token"):
+                build([bad], [], [])
+
+    def test_repeated_names_intern_once(self):
+        b = build(["a", "b"], [["a", "b"]] * 50, [["b", "c"]] * 50)
+        assert b.names == ("a", "b", "c")
+        assert b.e_sets == (VertexSet.of([0, 1]),) * 50
+        assert b.f_sets == (VertexSet.of([1, 2]),) * 50
+
     def test_name_lookup(self):
         b = build(["a", "b"], [["a"]], [])
         assert b.id_of("b") == 1
@@ -103,6 +152,24 @@ class TestBuild:
         warnings = validate(b)
         assert len(warnings) == 1 and "equal" in warnings[0]
         assert validate(six_clause_instance()) == []
+
+
+class TestDirectConstruction:
+    """``Bihypergraph(...)`` checks names and labels itself, whatever the
+    caller checked before."""
+
+    def test_bad_names_rejected(self):
+        for bad in ("a b", "{}", "", "t\tab", 3):
+            with pytest.raises(ValueError, match="vertex name"):
+                Bihypergraph(("a", bad), (), (), (), ())
+
+    def test_bad_labels_rejected(self):
+        e = (VertexSet.of([0]),)
+        for bad in ("L:", "{}", "", "x<y", None):
+            with pytest.raises(ValueError, match="label"):
+                Bihypergraph(("a",), e, (), (bad,), ())
+            with pytest.raises(ValueError, match="label"):
+                Bihypergraph(("a",), (), e, (), (bad,))
 
 
 class TestIsTransversal:

@@ -175,6 +175,20 @@ class TestGraphColoring:
         with pytest.raises(ValueError):
             ColoringInstance(("a", "a"), ())
 
+    def test_list_of_without_lists(self):
+        g = ColoringInstance(("a",), (), colors=2)
+        with pytest.raises(ValueError, match="no color lists"):
+            g.list_of("a")
+        assert ColoringInstance(("a",), (), lists=(("r", "r"),)).list_of("a") == ("r",)
+
+    def test_first_bad_color_reported(self):
+        lists = (("r", "g"),) * 5 + (("g", "r/b"), ("r/b", "x y"))
+        with pytest.raises(ValueError, match="invalid color 'r/b'"):
+            ColoringInstance(tuple("abcdefg"), (), lists=lists)
+        for bad in (["r"], 3, None):
+            with pytest.raises(ValueError, match="empty color token"):
+                ColoringInstance(("a", "b"), (), lists=(("r",), ("r", bad)))
+
 
 class TestListColoring:
     def test_grid_lists_fail(self):
@@ -279,3 +293,11 @@ class TestSdr:
             SdrInstance(("1", "1"), ((), ()))
         with pytest.raises(ValueError):
             SdrInstance(("1",), ((), ()))
+
+    def test_first_bad_element_reported(self):
+        families = (("x", "y"),) * 4 + (("y", "x<z"), ("x<z", ""))
+        with pytest.raises(ValueError, match="invalid element 'x<z'"):
+            SdrInstance(tuple("123456"), families)
+        for bad in (["x"], 3, None):
+            with pytest.raises(ValueError, match="empty element token"):
+                SdrInstance(("1", "2"), (("x",), ("x", bad)))
