@@ -161,15 +161,6 @@ class _Trace:
         return len(self.records) - 1
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
                       limits: Limits, stats: _Stats,
                       prune_against: Antichain | None = None):
@@ -192,11 +183,10 @@ def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
     a mask of ``prune_against``, so dropping a union before it could evict
     supersets of itself loses nothing.
     """
-    elems = _bits(pivot_mask)
     states: dict[int, tuple | None] = {0: None}
     level_maps: list[dict[int, tuple]] = []
     pruned = prune_against.has_subset if prune_against is not None else None
-    for v in elems:
+    for v in VertexSet(pivot_mask).members:
         bit = 1 << v
         choices = [(m & ~bit, ref) for m, ref in working if m & bit]
         if not choices:
@@ -486,7 +476,7 @@ def _find_pairing(conclusion: int, prem_masks: list[int], pivot_mask: int):
     outside the conclusion can never participate and are dropped first).
     """
     states = {0}
-    for v in _bits(pivot_mask):
+    for v in VertexSet(pivot_mask).members:
         bit = 1 << v
         options = {pm & ~bit for pm in prem_masks
                    if pm & bit and (pm & ~bit) & ~conclusion == 0}

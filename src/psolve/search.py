@@ -5,6 +5,13 @@ decide() is the front door: a unit-propagating backtracking search over
 all-pairs implication-graph method, and the brute-force oracle.  An E-set
 with all but one member placed outside X forces the last member in; an
 F-set with all but one member inside X forces the last member out.
+
+The search finds those sets by watching two members of each set that can
+still meet it (two watched literals, as in Chaff): assigning a vertex visits
+only the sets in which it is watched and can no longer meet, moves each
+such watch to another member that can, and forces the other watch when no
+member is left.  Watches need no repair when assignments are undone, so
+backtracking only clears the assignments on the trail.
 """
 
 from __future__ import annotations
@@ -22,87 +29,92 @@ class SetTooLargeError(Exception):
 
 
 def _search_witness(b: Bihypergraph) -> VertexSet | None:
-    """First S-partition found by depth-first search, or None.
+    """The lexicographically greatest S-partition X, or None if there is none.
 
-    Branches on the lowest unassigned vertex id, trying "in X" first;
-    vertices touched by no set go to V-X up front.
+    Vertices touched by no set are left out of X.  The others are compared
+    by membership in id order, "in X" above "out": the depth-first search
+    branches on the lowest unassigned vertex id, trying "in X" first, and
+    unit propagation only assigns what every extension of the current
+    assignment shares, so the first complete assignment it reaches is the
+    greatest one.  ``decide`` relies on this to make witnesses deterministic.
     """
     n = b.vertex_count
-    e_members = [s.members for s in b.e_sets]
-    f_members = [s.members for s in b.f_sets]
-    if any(not m for m in e_members) or any(not m for m in f_members):
-        return None  # an empty set can never be met
-    occ_e: list[list[int]] = [[] for _ in range(n)]
-    occ_f: list[list[int]] = [[] for _ in range(n)]
-    for i, members in enumerate(e_members):
-        for v in members:
-            occ_e[v].append(i)
-    for i, members in enumerate(f_members):
-        for v in members:
-            occ_f[v].append(i)
-
     assign = [-1] * n  # -1 unknown, 1 in X, 0 out
+    # A set is met by a member in X (E) or out of X (F).  Each set with two
+    # or more members keeps its two watched members at positions 0 and 1 of
+    # its member list, which is filed in watches[2*w + val] for each watch w,
+    # val being the value that leaves w unable to meet the set.
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n)]
+    units: list[tuple[int, int]] = []
+    touched = 0
+    for false_val, family in ((0, b.e_sets), (1, b.f_sets)):
+        for s in family:
+            members = list(s.members)
+            if not members:
+                return None  # an empty set can never be met
+            touched |= s.mask
+            if len(members) == 1:
+                units.append((members[0], 1 - false_val))
+            else:
+                watches[2 * members[0] + false_val].append(members)
+                watches[2 * members[1] + false_val].append(members)
     for v in range(n):
-        if not occ_e[v] and not occ_f[v]:
+        if not (touched >> v) & 1:
             assign[v] = 0
-    e_in = [0] * len(e_members)   # members currently in X
-    e_free = [len(m) for m in e_members]
-    f_out = [0] * len(f_members)  # members currently out of X
-    f_free = [len(m) for m in f_members]
-    trail: list[tuple[int, int]] = []
+    trail: list[int] = []
 
     def place(v: int, val: int) -> bool:
         """Assign v and propagate to a fixed point; False on conflict.
-        Either way the damage stays on the trail for unwind().  Counters for
-        a vertex are always applied in full (conflicts are reported only
-        afterwards) so that unwind reverses exactly what happened."""
-        queue = [(v, val)]
+        Every assignment goes on the trail for unwind(), and every watch
+        list stays valid, also after a conflict."""
+        if assign[v] != -1:
+            return assign[v] == val
+        assign[v] = val
+        trail.append(v)
+        queue = [v]
         while queue:
-            v, val = queue.pop()
-            if assign[v] != -1:
-                if assign[v] != val:
-                    return False
-                continue
-            assign[v] = val
-            trail.append((v, val))
-            conflict = False
-            for i in occ_e[v]:
-                e_free[i] -= 1
-                if val:
-                    e_in[i] += 1
-                elif not e_in[i]:
-                    if not e_free[i]:
-                        conflict = True
-                    elif e_free[i] == 1:
-                        forced = next(w for w in e_members[i] if assign[w] == -1)
-                        queue.append((forced, 1))
-            for i in occ_f[v]:
-                f_free[i] -= 1
-                if not val:
-                    f_out[i] += 1
-                elif not f_out[i]:
-                    if not f_free[i]:
-                        conflict = True
-                    elif f_free[i] == 1:
-                        forced = next(w for w in f_members[i] if assign[w] == -1)
-                        queue.append((forced, 0))
-            if conflict:
-                return False
+            v = queue.pop()
+            val = assign[v]
+            met = 1 - val
+            lit = 2 * v + val
+            kept: list[list[int]] = []
+            sets = iter(watches[lit])
+            for members in sets:
+                other = members[0]
+                if other == v:
+                    other = members[1]
+                    members[0] = other
+                    members[1] = v
+                if assign[other] == met:
+                    kept.append(members)
+                    continue
+                for k in range(2, len(members)):
+                    w = members[k]
+                    if assign[w] != val:
+                        members[1] = w
+                        members[k] = v
+                        watches[2 * w + val].append(members)
+                        break
+                else:
+                    kept.append(members)
+                    if assign[other] != -1:
+                        kept.extend(sets)
+                        watches[lit] = kept
+                        return False
+                    assign[other] = met
+                    trail.append(other)
+                    queue.append(other)
+            watches[lit] = kept
         return True
 
     def unwind(mark: int) -> None:
-        while len(trail) > mark:
-            v, val = trail.pop()
+        for v in trail[mark:]:
             assign[v] = -1
-            for i in occ_e[v]:
-                e_free[i] += 1
-                if val:
-                    e_in[i] -= 1
-            for i in occ_f[v]:
-                f_free[i] += 1
-                if not val:
-                    f_out[i] -= 1
+        del trail[mark:]
 
+    for v, val in units:  # root assignments, never unwound
+        if not place(v, val):
+            return None
     decisions: list[tuple[int, int, bool]] = []  # (vertex, trail mark, tried out-branch)
     cursor = 0
     while True:

@@ -43,6 +43,42 @@ def all_s_partitions(b: Bihypergraph) -> list[frozenset[int]]:
     return found
 
 
+def reference_search_witness(b: Bihypergraph) -> int | None:
+    """Reference for ``psolve.search._search_witness``: the mask of the
+    first S-partition a plain depth-first search finds, or None.
+
+    No propagation: vertices are placed in id order, "in X" first, vertices
+    in no set go out, and a set is tested only once all its members are
+    placed.  The first partition found is the lexicographically greatest.
+    """
+    n = b.vertex_count
+    e_fam = [set(s.members) for s in b.e_sets]
+    f_fam = [set(s.members) for s in b.f_sets]
+    if not all(e_fam) or not all(f_fam):
+        return None
+    touched = set().union(*e_fam, *f_fam)
+    completed_by: list[list[tuple[set, bool]]] = [[] for _ in range(n)]
+    for family, met in ((e_fam, True), (f_fam, False)):
+        for members in family:
+            completed_by[max(members)].append((members, met))
+    x: set[int] = set()
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for inside in ((True, False) if v in touched else (False,)):
+            if inside:
+                x.add(v)
+            if (all(any((w in x) == met for w in members)
+                    for members, met in completed_by[v])
+                    and extend(v + 1)):
+                return True
+            x.discard(v)
+        return False
+
+    return sum(1 << v for v in x) if extend(0) else None
+
+
 def has_s(b: Bihypergraph) -> bool:
     return bool(all_s_partitions(b))
 
@@ -97,6 +133,34 @@ def cnf_is_satisfiable(formula) -> bool:
     return False
 
 
+def greatest_cnf_assignment(formula) -> dict | None:
+    """The lexicographically greatest satisfying assignment, True above
+    False in variable order, by plain backtracking that tests a clause only
+    once all its variables are set; None if unsatisfiable.
+
+    Under ``from_cnf`` it is the greatest S-partition: a variable with both
+    literals out of X can always put its negative literal in."""
+    n = formula.variable_count
+    completed_by: list[list] = [[] for _ in range(n + 1)]
+    for clause in formula.clauses:
+        completed_by[max(abs(l) for l in clause)].append(clause)
+    assignment: dict[int, bool] = {}
+
+    def extend(v: int) -> bool:
+        if v > n:
+            return True
+        for value in (True, False):
+            assignment[v] = value
+            if (all(any(assignment[abs(l)] == (l > 0) for l in clause)
+                    for clause in completed_by[v])
+                    and extend(v + 1)):
+                return True
+        del assignment[v]
+        return False
+
+    return dict(assignment) if extend(1) else None
+
+
 def coloring_search(vertices, edges, available) -> dict | None:
     """Backtracking proper-coloring search with per-vertex color choices."""
     order = list(vertices)
@@ -122,6 +186,46 @@ def coloring_search(vertices, edges, available) -> dict | None:
     return dict(chosen) if extend(0) else None
 
 
+def greatest_color_sets(vertices, edges, palette) -> dict | None:
+    """The color sets that the lexicographically greatest S-partition of
+    ``from_graph_coloring`` gives each vertex, or None if the graph has no
+    proper coloring.
+
+    There X may give a vertex several colors, but no color to both ends of
+    an edge.  The pairs (vertex, color) are decided in order, "in" whenever
+    some extension exists: the vertices with no color yet must be properly
+    colorable with colors not excluded for them and not taken by a
+    neighbour, which ``coloring_search`` decides.
+    """
+    inside = {a: set() for a in vertices}
+    excluded = {a: set() for a in vertices}
+    neighbours = {a: set() for a in vertices}
+    for a1, a2 in edges:
+        neighbours[a1].add(a2)
+        neighbours[a2].add(a1)
+
+    def extendable() -> bool:
+        rest = [a for a in vertices if not inside[a]]
+        lists = [[c for c in palette if c not in excluded[a]
+                  and not any(c in inside[w] for w in neighbours[a])]
+                 for a in rest]
+        rest_edges = [(a1, a2) for a1, a2 in edges
+                      if not inside[a1] and not inside[a2]]
+        return coloring_search(rest, rest_edges, lists) is not None
+
+    if not extendable():
+        return None
+    for a in vertices:
+        for c in palette:
+            if not any(c in inside[w] for w in neighbours[a]):
+                inside[a].add(c)
+                if extendable():
+                    continue
+                inside[a].discard(c)
+            excluded[a].add(c)
+    return inside
+
+
 def sdr_search(labels, families) -> dict | None:
     """Backtracking search for a system of distinct representatives."""
     chosen: dict = {}
@@ -145,12 +249,13 @@ def sdr_search(labels, families) -> dict | None:
 
 
 def rand_instance(rng: random.Random, max_vertices: int = 10,
-                  max_sets: int = 8, max_size: int = 4) -> Bihypergraph:
+                  max_sets: int = 8, max_size: int = 4,
+                  min_size: int = 1) -> Bihypergraph:
     n = rng.randint(1, max_vertices)
     names = [f"v{i}" for i in range(n)]
 
     def family():
-        return [rng.sample(names, rng.randint(1, min(max_size, n)))
+        return [rng.sample(names, rng.randint(min_size, min(max_size, n)))
                 for _ in range(rng.randint(0, max_sets))]
 
     return build(names, family(), family())

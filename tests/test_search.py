@@ -5,12 +5,15 @@ import sys
 
 import pytest
 
-from psolve import (Refutation, Verdict, VertexSet, brute_force_decide, build,
+from psolve import (CnfFormula, ColoringInstance, Refutation, SdrInstance,
+                    Verdict, VertexSet, brute_force_decide, build,
                     check_refutation, check_s_partition, decide, decide_2sat,
-                    search)
+                    from_cnf, from_graph_coloring, from_sdr, search)
 from psolve.search import SetTooLargeError, _search_witness
 
-from helpers import (all_s_partitions, rand_instance,
+from helpers import (all_s_partitions, exhaustive_small_instances,
+                     greatest_color_sets, greatest_cnf_assignment,
+                     rand_instance, reference_search_witness,
                      six_clause_instance)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -123,6 +126,97 @@ class TestSearchWitness:
                     if v in partial:
                         continue
                     assert (v in x) == bool(val)
+
+    def test_matches_reference_search(self):
+        # The witness is the lexicographically greatest S-partition with
+        # set-free vertices out, whatever the propagation does.
+        rng = random.Random(71)
+        verdicts = set()
+        for i in range(3000):
+            b = rand_instance(rng, max_vertices=14, max_sets=10, max_size=5,
+                              min_size=0 if i % 10 == 0 else 1)
+            x = _search_witness(b)
+            expected = reference_search_witness(b)
+            assert (None if x is None else x.mask) == expected
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+        for b in exhaustive_small_instances(max_vertices=4, max_sets=3,
+                                            max_size=2):
+            x = _search_witness(b)
+            expected = reference_search_witness(b)
+            assert (None if x is None else x.mask) == expected
+            touched = set()
+            for s in list(b.e_sets) + list(b.f_sets):
+                touched.update(s.members)
+            candidates = [p for p in all_s_partitions(b) if p <= touched]
+            if candidates:
+                greatest = max(candidates, key=lambda p: [v in p for v in
+                                                          range(b.vertex_count)])
+                assert expected == sum(1 << v for v in greatest)
+            else:
+                assert expected is None
+
+
+class TestDeepBacktracking:
+    """Instances on which the search backtracks often (about a hundred
+    times per formula), so that watch lists are reordered and kept across
+    many backtracks.  Each is checked against a plain backtracking search
+    in its own domain, which finds the greatest S-partition far sooner than
+    ``reference_search_witness``, and by the domain's own test of the
+    witness."""
+
+    def test_random_3cnf(self):
+        rng = random.Random(73)
+        verdicts = set()
+        for _ in range(12):
+            n = rng.randint(20, 25)
+            clauses = tuple(tuple(v if rng.random() < 0.5 else -v
+                                  for v in rng.sample(range(1, n + 1), 3))
+                            for _ in range(round(4.26 * n)))
+            formula = CnfFormula(n, clauses)
+            enc = from_cnf(formula)
+            cert = decide(enc.bihypergraph, method="search")
+            expected = greatest_cnf_assignment(formula)
+            verdicts.add(cert.verdict)
+            if expected is None:
+                assert cert.verdict is Verdict.FAILS_S
+            else:
+                x = cert.witness.x_side
+                assert x == enc.partition_from_assignment(expected)
+                assert formula.is_satisfied_by(enc.assignment_from_partition(x))
+        assert verdicts == {Verdict.HAS_S, Verdict.FAILS_S}
+
+    def test_random_graph_3_coloring(self):
+        rng = random.Random(79)
+        palette = ("1", "2", "3")
+        verdicts = set()
+        for _ in range(12):
+            vertices = tuple(f"a{i}" for i in range(15))
+            edges = set()
+            count = rng.randint(26, 36)
+            while len(edges) < count:
+                edges.add(tuple(sorted(rng.sample(vertices, 2))))
+            edges = tuple(sorted(edges))
+            enc = from_graph_coloring(ColoringInstance(vertices, edges, colors=3))
+            b = enc.bihypergraph
+            cert = decide(b, method="search")
+            expected = greatest_color_sets(vertices, edges, palette)
+            verdicts.add(cert.verdict)
+            if expected is None:
+                assert cert.verdict is Verdict.FAILS_S
+            else:
+                x = cert.witness.x_side
+                assert expected == {a: {c for c in palette if b.id_of(f"{a}@{c}") in x}
+                                    for a in vertices}
+                coloring = enc.coloring_from_partition(x)
+                assert all(coloring[a1] != coloring[a2] for a1, a2 in edges)
+        assert verdicts == {Verdict.HAS_S, Verdict.FAILS_S}
+
+    def test_pigeonhole_5_fails(self):
+        holes = tuple(f"h{j}" for j in range(5))
+        instance = SdrInstance(tuple(f"p{i}" for i in range(6)), (holes,) * 6)
+        cert = decide(from_sdr(instance).bihypergraph, method="search")
+        assert cert.verdict is Verdict.FAILS_S
 
 
 class TestDecide2Sat:
