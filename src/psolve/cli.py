@@ -605,7 +605,8 @@ def _build_parser() -> _Parser:
                    help="write a refutation (.prf) when the instance fails")
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-sets", type=int, default=None,
-                   help=f"kept-set limit for closures (or {ENV_MAX_SETS})")
+                   help="cap on the kept sets of a closure and on the distinct unions "
+                        f"of one union-DP level (or {ENV_MAX_SETS})")
     p.add_argument("--max-rounds", type=int, default=None)
     p.set_defaults(func=cmd_decide)
 

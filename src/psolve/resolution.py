@@ -28,9 +28,9 @@ class ResourceLimitError(Exception):
 class Limits:
     """Caps on closure work: kept sets and rounds.
 
-    ``max_sets`` also caps the partial unions kept at one level of a
-    pivot's union DP; there is no separate fan-out cap and no work or time
-    budget.
+    ``max_sets`` also caps the distinct candidate unions collected at one
+    level of a pivot's union DP, before they are reduced; there is no
+    separate fan-out cap and no work or time budget.
     """
 
     max_sets: int = 1_000_000
@@ -161,27 +161,76 @@ class _Trace:
         return len(self.records) - 1
 
 
+def _minimal_masks(masks: Iterable[int]) -> set[int]:
+    """The subset-minimal members of a nonempty collection of distinct masks.
+
+    Visits them by size, so no later mask is a subset of a kept one and
+    nothing kept is ever evicted: a mask is kept iff no kept mask is a
+    subset of it.  The kept masks are filed in plain lists under their
+    lowest member.  The empty mask,
+    which every mask contains, ends the pass at once.
+    """
+    order = sorted(masks, key=int.bit_count)
+    if not order[0]:
+        return {0}
+    by_low: dict[int, list[int]] = {}
+    kept: set[int] = set()
+    for u in order:
+        rest = u
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            bucket = by_low.get(bit)
+            if bucket is not None:
+                for k in bucket:
+                    if k & u == k:
+                        break
+                else:
+                    continue
+                break
+        else:
+            kept.add(u)
+            low = u & -u
+            if low in by_low:
+                by_low[low].append(u)
+            else:
+                by_low[low] = [u]
+    return kept
+
+
 def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
                       limits: Limits, stats: _Stats,
                       prune_against: Antichain | None = None):
     """All resolvents of ``working`` on one pivot, subsumption-reduced.
 
-    Runs a union DP over the pivot elements in ascending id order: partial
-    states are the achievable unions of contributions so far, pruned to an
-    antichain per level.  Pruning preserves the minimal resolvents exactly
-    (a dominated partial union can only lead to a dominated resolvent) and
+    Runs a union DP over the pivot elements in ascending id order: the
+    states of a level are the minimal achievable unions of contributions so
+    far.  Reducing each level preserves the minimal resolvents exactly (a
+    dominated partial union can only lead to a dominated resolvent) and
     keeps the fan-out polynomial in practice where literal pairing
-    enumeration is exponential in the pivot size.  Each level's states are
-    an indexed ``Antichain``, visited in insertion order; the first pairing
-    found for a state is the one recorded.
+    enumeration is exponential in the pivot size.  Each level is one batch
+    pass over its pivot member:
 
-    Returns a list of (mask, pairing) with pairing as in _Trace.  When
-    ``prune_against`` is given, partial unions that are supersets of one of
-    its masks are dropped early.  The closure loop passes its own antichain
-    and inserts the finals with no further subsumption test; the public
-    enumeration must not prune.  No state kept at a level is a superset of
-    a mask of ``prune_against``, so dropping a union before it could evict
-    supersets of itself loses nothing.
+    1. Collect every union ``s | cm`` of a state and a contribution, in
+       generation order, into a dict; each keeps the payload
+       ``(s, v, ref)`` of its first occurrence.  More than
+       ``limits.max_sets`` distinct candidates raise ``ResourceLimitError``.
+    2. Keep the subset-minimal candidates (``_minimal_masks``).
+    3. Drop those that are supersets of a mask of ``prune_against``.
+    4. The level's states are the kept candidates in first-occurrence
+       order, each with its first payload; the candidate dict is dropped.
+
+    This is exactly what feeding the candidates one by one through an
+    antichain gives.  A dominated candidate stays dominated, so that
+    antichain ends with the minimal candidates, each inserted at its first
+    occurrence with that occurrence's pairing.  And the prune is upward
+    closed, so pruning the minimal candidates keeps the same set as taking
+    the minimal members of the unpruned ones.
+
+    Returns a list of (mask, pairing) with pairing as in _Trace.  The
+    closure loop passes its own antichain as ``prune_against`` and inserts
+    the finals with no further subsumption test; the public enumeration
+    must not prune.
     """
     states: dict[int, tuple | None] = {0: None}
     level_maps: list[dict[int, tuple]] = []
@@ -191,20 +240,21 @@ def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
         choices = [(m & ~bit, ref) for m, ref in working if m & bit]
         if not choices:
             return []
-        nxt = Antichain()
-        dominated = nxt.has_subset
+        candidates: dict[int, tuple] = {}
         for s in states:
             for cm, ref in choices:
                 u = s | cm
-                if dominated(u) or (pruned is not None and pruned(u)):
-                    continue
-                nxt.add(u, (s, v, ref))
-                if len(nxt.sets) > limits.max_sets:
-                    raise ResourceLimitError(
-                        f"pivot fan-out exceeded max_sets={limits.max_sets}")
-        if not nxt.sets:
+                if u not in candidates:
+                    candidates[u] = (s, v, ref)
+            if len(candidates) > limits.max_sets:
+                raise ResourceLimitError(
+                    f"pivot fan-out exceeded max_sets={limits.max_sets}")
+        keep = _minimal_masks(candidates)
+        states = {u: payload for u, payload in candidates.items()
+                  if u in keep and (pruned is None or not pruned(u))}
+        del candidates
+        if not states:
             return []
-        states = nxt.sets
         level_maps.append(states)
 
     finals = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from psolve import Bihypergraph, build
+from psolve import Bihypergraph, ResourceLimitError, VertexSet, build
+from psolve.core import Antichain
 
 _FORBIDDEN_CHARS = set(" \t\r\n\f\v#:,/<")
 
@@ -102,6 +103,28 @@ def unreduced_resolvents(masks: set[int], pivot: int) -> set[int]:
             return set()
         states = {s | c for s in states for c in choices}
     return states
+
+
+def level_candidate_counts(masks, pivot: int, prune=()) -> list[int]:
+    """The number of distinct candidate unions at each level of the
+    reduced union DP on one pivot, by plain sets: a level keeps the minimal
+    candidates that contain no mask of ``prune``, and the DP stops at a
+    pivot member no mask contains or at a level with nothing kept."""
+    counts = []
+    states = {0}
+    for v in _pivot_bits(pivot):
+        bit = 1 << v
+        choices = {m & ~bit for m in masks if m & bit}
+        if not choices:
+            break
+        candidates = {s | c for s in states for c in choices}
+        counts.append(len(candidates))
+        states = {u for u in candidates
+                  if not any(w != u and w & u == w for w in candidates)
+                  and not any(p & u == p for p in prune)}
+        if not states:
+            break
+    return counts
 
 
 def naive_closure_contains_empty(e_sets, f_sets) -> bool:
@@ -332,3 +355,48 @@ class LinearAntichain:
             del self.sets[k]
         self.sets[mask] = payload
         return removed
+
+
+def incremental_pivot_resolvents(working, pivot_mask: int, limits, stats,
+                                 prune_against=None):
+    """Reference for ``psolve.resolution._pivot_resolvents``: the union DP
+    as the engine ran it before batch levels.  Each candidate union goes
+    through the level's ``Antichain`` in generation order, so a level holds
+    the live antichain of the candidates so far, and ``max_sets`` caps that
+    antichain."""
+    states = {0: None}
+    level_maps = []
+    pruned = prune_against.has_subset if prune_against is not None else None
+    for v in VertexSet(pivot_mask).members:
+        bit = 1 << v
+        choices = [(m & ~bit, ref) for m, ref in working if m & bit]
+        if not choices:
+            return []
+        nxt = Antichain()
+        dominated = nxt.has_subset
+        for s in states:
+            for cm, ref in choices:
+                u = s | cm
+                if dominated(u) or (pruned is not None and pruned(u)):
+                    continue
+                nxt.add(u, (s, v, ref))
+                if len(nxt.sets) > limits.max_sets:
+                    raise ResourceLimitError(
+                        f"pivot fan-out exceeded max_sets={limits.max_sets}")
+        if not nxt.sets:
+            return []
+        states = nxt.sets
+        level_maps.append(states)
+
+    finals = []
+    for final_mask in states:
+        pairing = []
+        cur = final_mask
+        for level in reversed(level_maps):
+            prev, v, ref = level[cur]
+            pairing.append((v, ref))
+            cur = prev
+        pairing.reverse()
+        finals.append((final_mask, tuple(pairing)))
+    stats.generated += len(finals)
+    return finals

@@ -1,15 +1,19 @@
+import json
 import random
 
 import pytest
 
 from psolve import (Limits, Refutation, ResolutionStep, ResourceLimitError,
                     Verdict, VertexSet, all_resolvents, alternating_closure,
-                    build, check_refutation, closure, conditions,
-                    decide_by_resolution, resolution, resolve,
+                    brute_force_decide, build, check_refutation, closure,
+                    conditions, decide_by_resolution, resolution, resolve,
                     upset_bound_check)
-from psolve.cli import bind_proof, format_proof, parse_proof_text
+from psolve.cli import (EXIT_INDETERMINATE, bind_proof, format_proof, main,
+                        parse_proof_text)
+from psolve.core import Antichain
 
 from helpers import (LinearAntichain, all_s_partitions, grid_lists_instance,
+                     incremental_pivot_resolvents, level_candidate_counts,
                      naive_closure_contains_empty, rand_instance,
                      six_clause_instance)
 
@@ -427,3 +431,112 @@ def test_indexed_antichain_matches_linear_scans(monkeypatch):
     assert indexed == linear
     refuted = [out for out in indexed if out[4][0] is Verdict.FAILS_S]
     assert 0 < len(refuted) < len(indexed)
+
+
+def _random_dp_case(rng):
+    """A working family (empty sets and repeated masks included), a pivot
+    that may hold a vertex no set meets, and an antichain to prune with."""
+    n = rng.randint(1, 10)
+    masks = [sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(4, n))))
+             for _ in range(rng.randint(0, 9))]
+    masks += rng.sample(masks, min(len(masks), rng.randint(0, 2)))
+    rng.shuffle(masks)
+    working = [(m, ("W", i)) for i, m in enumerate(masks)]
+    pivot = sum(1 << v for v in rng.sample(range(n + 1), rng.randint(0, min(4, n + 1))))
+    prune = Antichain()
+    for _ in range(rng.randint(1, 4)):
+        m = sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(3, n))))
+        if not prune.has_subset(m):
+            prune.add(m)
+    return working, pivot, prune
+
+
+def test_batch_levels_match_incremental_antichain():
+    """Each union-DP level, built in one batch pass, gives the states that
+    feeding its candidates one by one through an antichain gives: the same
+    resolvents in the same order, with the same pairings and count."""
+    rng = random.Random(6006)
+    seen = {"finals": 0, "empty": 0, "unmet": 0, "pruned away": 0}
+    for _ in range(2500):
+        working, pivot, prune = _random_dp_case(rng)
+        for prune_against in (None, prune):
+            batch, incremental = resolution._Stats(), resolution._Stats()
+            got = resolution._pivot_resolvents(working, pivot, Limits(), batch,
+                                               prune_against)
+            want = incremental_pivot_resolvents(working, pivot, Limits(),
+                                                incremental, prune_against)
+            assert got == want
+            assert batch.generated == incremental.generated
+            seen["finals"] += bool(got)
+            seen["empty"] += any(m == 0 for m, _ in got)
+            if not got:
+                unmet = any(not any(m >> v & 1 for m, _ in working)
+                            for v in VertexSet(pivot).members)
+                seen["unmet" if unmet else "pruned away"] += 1
+    assert all(count > 50 for count in seen.values()), seen
+
+
+def test_level_cap_counts_distinct_candidates():
+    """``max_sets`` caps the distinct candidate unions of each DP level,
+    dominated and pruned ones included."""
+    rng = random.Random(6007)
+    capped = 0
+    for _ in range(600):
+        working, pivot, prune = _random_dp_case(rng)
+        masks = [m for m, _ in working]
+        counts = level_candidate_counts(masks, pivot, list(prune.sets))
+        if not counts:
+            continue
+        widest = max(counts)
+        unlimited = resolution._pivot_resolvents(working, pivot, Limits(),
+                                                 resolution._Stats(), prune)
+        assert resolution._pivot_resolvents(
+            working, pivot, Limits(max_sets=widest), resolution._Stats(),
+            prune) == unlimited
+        with pytest.raises(ResourceLimitError, match="pivot fan-out"):
+            resolution._pivot_resolvents(working, pivot,
+                                         Limits(max_sets=widest - 1),
+                                         resolution._Stats(), prune)
+        capped += 1
+    assert capped > 300
+
+
+def test_tight_caps_give_the_oracle_verdict_or_indeterminate():
+    """Under tight ``max_sets`` caps a run either raises ResourceLimitError
+    or returns the oracle's verdict, never a wrong one."""
+    rng = random.Random(6008)
+    outcomes = {"HasS": 0, "FailsS": 0, "kept-set": 0, "pivot fan-out": 0}
+    for _ in range(300):
+        b = rand_instance(rng, max_vertices=rng.choice((8, 10, 12)),
+                          max_sets=rng.choice((6, 8, 10)),
+                          max_size=rng.choice((4, 5)))
+        expected = brute_force_decide(b).verdict
+        for strategy in ("ef", "fe", "alt:2"):
+            for cap in range(1, 41):
+                try:
+                    cert = decide_by_resolution(b, strategy, Limits(max_sets=cap))
+                except ResourceLimitError as exc:
+                    outcomes["pivot fan-out" if "fan-out" in str(exc)
+                             else "kept-set"] += 1
+                    continue
+                assert cert.verdict is expected
+                outcomes[cert.verdict.value] += 1
+    assert outcomes["pivot fan-out"] > 20, outcomes
+    assert min(outcomes["HasS"], outcomes["FailsS"],
+               outcomes["kept-set"]) > 1000, outcomes
+
+
+def test_cli_level_cap_exits_indeterminate(tmp_path, capsys):
+    """Four pairings of each of x, y, z, w give 10 distinct unions at the
+    second pivot member but only 4 minimal ones: a cap of 8 admits the 8
+    input sets and stops that level."""
+    path = tmp_path / "fan.bhg"
+    path.write_text("e a x\ne a y\ne a z\ne a w\n"
+                    "e b x\ne b y\ne b z\ne b w\nf a b\n")
+    code = main(["decide", str(path), "--method", "resolution",
+                 "--max-sets", "8", "--json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_INDETERMINATE
+    doc = json.loads(out)
+    assert doc["verdict"] == "Indeterminate"
+    assert doc["reason"] == "pivot fan-out exceeded max_sets=8"
