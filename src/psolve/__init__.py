@@ -3,8 +3,8 @@ certificates, resolution closures, fast criteria, and problem encodings."""
 
 from .conditions import (ConditionReport, all_large_subsets_check, analyze,
                          upset_bound_check, weight_check)
-from .core import (Bihypergraph, Certificate, SPartition, Verdict, Vertex,
-                   VertexSet, build, check_s_partition, family_intersection,
+from .core import (Bihypergraph, Certificate, SPartition, Verdict, VertexSet,
+                   build, check_s_partition, family_intersection,
                    is_transversal, validate)
 from .encodings import (CnfEncoding, CnfFormula, CnfRepresentation,
                         ColoringEncoding, ColoringInstance, SdrEncoding,
@@ -25,7 +25,7 @@ __all__ = [
     "ColoringEncoding", "ColoringInstance", "ConditionReport", "Limits",
     "Refutation", "ResolutionStep", "ResourceLimitError", "SPartition",
     "SdrEncoding", "SdrInstance", "SetTooLargeError", "UniverseTooLargeError",
-    "Verdict", "Vertex", "VertexSet", "all_large_subsets_check",
+    "Verdict", "VertexSet", "all_large_subsets_check",
     "all_resolvents", "alternating_closure", "analyze", "brute_force_decide",
     "build", "check_refutation", "check_s_partition", "closure",
     "count_s_partitions", "decide", "decide_2sat", "decide_by_resolution",

@@ -36,14 +36,6 @@ def check_token(token: str, what: str = "name") -> str:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    """An interned vertex: dense integer id plus its display name."""
-
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
 class VertexSet:
     """Canonical immutable vertex set.
 
@@ -242,10 +234,6 @@ class Bihypergraph:
     @property
     def vertex_count(self) -> int:
         return len(self.names)
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(Vertex(i, n) for i, n in enumerate(self.names))
 
     @property
     def full_set(self) -> VertexSet:

@@ -103,6 +103,29 @@ class CheckResult:
         return self.ok
 
 
+def _pairing_union(prem_masks: Sequence[int], pivot_mask: int,
+                   pairing: Iterable[tuple[int, int]]) -> int:
+    """``resolve`` on masks: the resolvent mask, or a ValueError naming the
+    first fault of the pairing."""
+    covered = 0
+    out = 0
+    for v, idx in pairing:
+        if v < 0 or not (pivot_mask >> v) & 1:
+            raise ValueError(f"pairing vertex {v} is not in the pivot")
+        bit = 1 << v
+        if covered & bit:
+            raise ValueError(f"pivot element {v} paired more than once")
+        covered |= bit
+        if not 0 <= idx < len(prem_masks):
+            raise ValueError(f"premise index {idx} out of range")
+        if not prem_masks[idx] & bit:
+            raise ValueError(f"paired vertex {v} is absent from premise {idx}")
+        out |= prem_masks[idx] & ~bit
+    if covered != pivot_mask:
+        raise ValueError("pivot element left unpaired")
+    return out
+
+
 def resolve(premises: Sequence[VertexSet], pivot: VertexSet,
             pairing: Iterable[tuple[int, int]]) -> VertexSet:
     """Apply one resolution step and return the resolvent.
@@ -111,23 +134,8 @@ def resolve(premises: Sequence[VertexSet], pivot: VertexSet,
     element must be paired exactly once with a premise containing it.
     Premises may repeat: one set may serve several pivot elements.
     """
-    premises = list(premises)
-    covered: set[int] = set()
-    out = 0
-    for v, idx in pairing:
-        if v not in pivot:
-            raise ValueError(f"pairing vertex {v} is not in the pivot")
-        if v in covered:
-            raise ValueError(f"pivot element {v} paired more than once")
-        covered.add(v)
-        if not 0 <= idx < len(premises):
-            raise ValueError(f"premise index {idx} out of range")
-        if v not in premises[idx]:
-            raise ValueError(f"paired vertex {v} is absent from premise {idx}")
-        out |= premises[idx].mask & ~(1 << v)
-    if len(covered) != len(pivot):
-        raise ValueError("pivot element left unpaired")
-    return VertexSet(out)
+    return VertexSet(_pairing_union([p.mask for p in premises], pivot.mask,
+                                    pairing))
 
 
 class _Stats:
@@ -367,34 +375,38 @@ def closure(a_family: Iterable[VertexSet], d_family: Iterable[VertexSet],
 
 def _alternating_items(b: Bihypergraph, n: int, side: str, limits: Limits,
                        trace: _Trace, stats: _Stats):
-    """Iterated closure chain: level 0 is the (reduced) base family, level k
-    closes the base family over the level k-1 family of the other side.
+    """Iterated closure chain: level 0 is the (reduced) base family, level 1
+    closes the base family over the other family's input sets, and level k
+    closes it over the level k-1 closure of the other side.
+
+    Level 1 resolves on input sets (``_run_closure`` drops repeated pivot
+    masks), so level 0 is computed, and counted in ``stats``, only when it
+    is the level asked for.  The levels run bottom up in a loop; a
+    self-calling nested function would be a reference cycle holding every
+    level's sets until the cyclic collector runs.
 
     Returns (antichain, contains_empty) of the requested level.
     """
-    memo: dict[tuple[str, int], tuple[dict, bool]] = {}
-
-    def level(s: str, k: int):
-        key = (s, k)
-        if key not in memo:
-            if k == 0:
-                pivots: Iterable[tuple[int, tuple]] = ()
-            else:
-                pivots = level("F" if s == "E" else "E", k - 1)[0].items()
-            memo[key] = _run_closure(_family_items(b, s), pivots, limits,
-                                     trace, stats)
-        return memo[key]
-
-    return level(side, n)
+    if n == 0:
+        return _run_closure(_family_items(b, side), (), limits, trace, stats)
+    flip = {"E": "F", "F": "E"}
+    s = side if n % 2 else flip[side]
+    pivots: Iterable[tuple[int, tuple]] = _family_items(b, flip[s])
+    for _ in range(n):
+        antichain, has_empty = _run_closure(_family_items(b, s), pivots,
+                                            limits, trace, stats)
+        pivots, s = antichain.items(), flip[s]
+    return antichain, has_empty
 
 
 def alternating_closure(b: Bihypergraph, n: int, side: str = "E",
                         limits: Limits | None = None) -> ClosureResult:
     """The depth-n alternating closure starting from the given family.
 
-    side='E' computes the chain whose level k closes E over the level k-1
-    closure of F, and symmetrically for side='F'.  n=0 returns the
-    subsumption-reduced base family itself.
+    side='E' computes the chain whose level 1 closes E over the input
+    F-sets and whose level k closes E over the level k-1 closure of F, and
+    symmetrically for side='F'.  n=0 returns the subsumption-reduced base
+    family itself; from n=1 on, the stats count no level-0 pass.
     """
     if side not in ("E", "F"):
         raise ValueError("side must be 'E' or 'F'")
@@ -406,15 +418,16 @@ def alternating_closure(b: Bihypergraph, n: int, side: str = "E",
     return _closure_result(antichain, has_empty, stats)
 
 
-def _parse_strategy(strategy: str) -> tuple[str, int | None]:
+def _parse_strategy(strategy: str) -> tuple[str, int, str]:
+    """A strategy's chain: (starting side, depth, proof mode label)."""
     if strategy == "ef":
-        return "ef", None
+        return "E", 1, MODE_E_OVER_F
     if strategy == "fe":
-        return "fe", None
+        return "F", 1, MODE_F_OVER_E
     if strategy.startswith("alt:"):
         depth = strategy[4:]
         if depth.isdigit() and int(depth) > 0:
-            return "alt", int(depth)
+            return "E", int(depth), f"alternating {int(depth)}"
     raise ValueError(f"unknown strategy {strategy!r} (expected ef, fe or alt:N)")
 
 
@@ -471,29 +484,19 @@ def decide_by_resolution(b: Bihypergraph, strategy: str = "ef",
                          limits: Limits | None = None) -> Certificate:
     """Decide property S by the chosen closure discipline.
 
-    Strategies: 'ef' closes E over F, 'fe' closes F over E, 'alt:N' runs the
-    depth-N alternating chain ending on the E side.  A fixed point without
-    the empty set certifies HasS; otherwise the recorded parent links are
-    unwound into a Refutation.  When the empty set is an input set, the
-    verdict is FailsS with no derivation (there is nothing to derive).
+    Every strategy runs the alternating chain (``_alternating_items``):
+    'ef' is its depth-1 level from E (E closed over the input F-sets), 'fe'
+    its depth-1 level from F, and 'alt:N' its depth-N level from E.  A fixed
+    point without the empty set certifies HasS; otherwise the recorded
+    parent links are unwound into a Refutation.  When the empty set is an
+    input set, the verdict is FailsS with no derivation (there is nothing to
+    derive).
     """
     limits = limits or DEFAULT_LIMITS
-    kind, depth = _parse_strategy(strategy)
+    side, depth, mode = _parse_strategy(strategy)
     trace, stats = _Trace(), _Stats()
-    if kind == "ef":
-        mode = MODE_E_OVER_F
-        antichain, has_empty = _run_closure(_family_items(b, "E"),
-                                            _family_items(b, "F"),
-                                            limits, trace, stats)
-    elif kind == "fe":
-        mode = MODE_F_OVER_E
-        antichain, has_empty = _run_closure(_family_items(b, "F"),
-                                            _family_items(b, "E"),
-                                            limits, trace, stats)
-    else:
-        mode = f"alternating {depth}"
-        antichain, has_empty = _alternating_items(b, depth, "E", limits,
-                                                  trace, stats)
+    antichain, has_empty = _alternating_items(b, depth, side, limits,
+                                              trace, stats)
     if not has_empty:
         return Certificate(Verdict.HAS_S, None, "resolution", stats.freeze())
     ref = antichain[0]  # the empty mask, by now the only kept one
@@ -503,14 +506,16 @@ def decide_by_resolution(b: Bihypergraph, strategy: str = "ef",
     return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())
 
 
-def _parse_mode(mode: str) -> tuple[str, int | None]:
+def _parse_mode(mode: str) -> tuple[str | None, int]:
+    """A proof mode's rule: (the side every step must close, or None for
+    either, and the alternation depth cap)."""
     if mode == MODE_E_OVER_F:
-        return "ef", None
+        return "E", 1
     if mode == MODE_F_OVER_E:
-        return "fe", None
+        return "F", 1
     parts = mode.split()
     if len(parts) == 2 and parts[0] == "alternating" and parts[1].isdigit():
-        return "alt", int(parts[1])
+        return None, int(parts[1])
     raise ValueError(f"unknown proof mode {mode!r}")
 
 
@@ -540,38 +545,20 @@ def _find_pairing(conclusion: int, prem_masks: list[int], pivot_mask: int):
     return None
 
 
-def _check_explicit_pairing(step: ResolutionStep, prem_masks: list[int],
-                            pivot_mask: int):
-    covered: set[int] = set()
-    out = 0
-    for v, idx in step.pairing:  # type: ignore[union-attr]
-        if not (pivot_mask >> v) & 1:
-            return f"pairing vertex {v} is not in the pivot"
-        if v in covered:
-            return f"pivot element {v} paired more than once"
-        covered.add(v)
-        if not 0 <= idx < len(prem_masks):
-            return f"premise index {idx} out of range"
-        if not (prem_masks[idx] >> v) & 1:
-            return f"paired vertex {v} is absent from its premise"
-        out |= prem_masks[idx] & ~(1 << v)
-    if len(covered) != pivot_mask.bit_count():
-        return "pivot element left unpaired"
-    if out != step.conclusion.mask:
-        return "conclusion differs from the resolvent of the pairing"
-    return None
-
-
 def check_refutation(b: Bihypergraph, refutation: Refutation) -> CheckResult:
     """Validate a refutation against an instance.
 
-    Every step must be a correct resolution inference whose premises and
-    pivot are drawn from what the declared mode permits, and the final
-    conclusion must be the empty set.  Returns a falsy CheckResult naming
+    Every step must be a correct resolution inference under one rule.  Its
+    side is the mode's side when the mode fixes one (E-over-F, F-over-E),
+    else its premises' common side; its pivot comes from the opposite side;
+    its depth is the largest of its premises' depths and its pivot's depth
+    plus one, input sets having depth 0.  The final conclusion must be the
+    empty set, at a depth within the mode's cap (1 for E-over-F and
+    F-over-E, N for alternating N).  Returns a falsy CheckResult naming
     the first failing step instead of raising.
     """
     try:
-        kind, depth = _parse_mode(refutation.mode)
+        mode_side, depth_cap = _parse_mode(refutation.mode)
     except ValueError as exc:
         return CheckResult(False, None, str(exc))
     if not refutation.steps:
@@ -579,8 +566,8 @@ def check_refutation(b: Bihypergraph, refutation: Refutation) -> CheckResult:
 
     e_tbl = {lab: b.e_sets[i].mask for i, lab in enumerate(b.e_labels)}
     f_tbl = {lab: b.f_sets[i].mask for i, lab in enumerate(b.f_labels)}
-    # info per reference: (mask, side, depth, is_input)
-    step_infos: dict[str, tuple[int, str, int, bool]] = {}
+    # info per reference: (mask, side, depth)
+    step_infos: dict[str, tuple[int, str, int]] = {}
 
     def resolve_ref(token: str):
         if token in step_infos:
@@ -589,9 +576,9 @@ def check_refutation(b: Bihypergraph, refutation: Refutation) -> CheckResult:
         if in_e and in_f:
             return f"ambiguous reference {token!r} (a label in both families)"
         if in_e:
-            return (e_tbl[token], "E", 0, True)
+            return (e_tbl[token], "E", 0)
         if in_f:
-            return (f_tbl[token], "F", 0, True)
+            return (f_tbl[token], "F", 0)
         return f"unknown reference {token!r}"
 
     last_info = None
@@ -614,45 +601,46 @@ def check_refutation(b: Bihypergraph, refutation: Refutation) -> CheckResult:
         if isinstance(pivot_info, str):
             return CheckResult(False, sid, pivot_info)
 
-        if kind == "ef" or kind == "fe":
-            clause_side, pivot_side = ("E", "F") if kind == "ef" else ("F", "E")
+        pivot_side = pivot_info[1]
+        if mode_side is not None:
+            side = mode_side
             for token, info in zip(step.premises, prem_infos):
-                if info[1] != clause_side:
+                if info[1] != side:
                     return CheckResult(
                         False, sid,
                         f"premise {token!r} is not available in mode {refutation.mode}")
-            if not (pivot_info[3] and pivot_info[1] == pivot_side):
-                return CheckResult(
-                    False, sid,
-                    f"pivot {step.pivot!r} must be an input {pivot_side}-set in mode {refutation.mode}")
-            side, step_depth = clause_side, 1
         else:
             sides = {info[1] for info in prem_infos}
             if len(sides) > 1:
                 return CheckResult(False, sid, "premises mix both closure sides")
-            pivot_side = pivot_info[1]
             side = sides.pop() if sides else ("E" if pivot_side == "F" else "F")
-            if pivot_side == side:
-                return CheckResult(
-                    False, sid, "pivot must come from the opposite closure side")
-            step_depth = max([info[2] for info in prem_infos] + [pivot_info[2] + 1])
+        if pivot_side == side:
+            return CheckResult(
+                False, sid, "pivot must come from the opposite closure side")
+        step_depth = max([info[2] for info in prem_infos] + [pivot_info[2] + 1])
 
         prem_masks = [info[0] for info in prem_infos]
-        if step.pairing is not None:
-            reason = _check_explicit_pairing(step, prem_masks, pivot_info[0])
-        else:
+        if step.pairing is None:
             reason = _find_pairing(step.conclusion.mask, prem_masks, pivot_info[0])
+        else:
+            try:
+                resolvent = _pairing_union(prem_masks, pivot_info[0], step.pairing)
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                reason = (None if resolvent == step.conclusion.mask else
+                          "conclusion differs from the resolvent of the pairing")
         if reason is not None:
             return CheckResult(False, sid, reason)
 
-        step_infos[sid] = (step.conclusion.mask, side, step_depth, False)
+        step_infos[sid] = (step.conclusion.mask, side, step_depth)
         last_info = (sid, step.conclusion.mask, step_depth)
 
     sid, mask, step_depth = last_info  # type: ignore[misc]
     if mask != 0:
         return CheckResult(False, sid, "final conclusion is not the empty set")
-    if kind == "alt" and step_depth > depth:  # type: ignore[operator]
+    if step_depth > depth_cap:
         return CheckResult(
             False, sid,
-            f"final step needs alternation depth {step_depth}, mode allows {depth}")
+            f"final step needs alternation depth {step_depth}, mode allows {depth_cap}")
     return CheckResult(True)

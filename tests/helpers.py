@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from psolve import Bihypergraph, ResourceLimitError, VertexSet, build
+from psolve import (Bihypergraph, Certificate, ResourceLimitError, Verdict,
+                    VertexSet, build, resolution)
 from psolve.core import Antichain
 
 _FORBIDDEN_CHARS = set(" \t\r\n\f\v#:,/<")
@@ -400,3 +401,24 @@ def incremental_pivot_resolvents(working, pivot_mask: int, limits, stats,
         finals.append((final_mask, tuple(pairing)))
     stats.generated += len(finals)
     return finals
+
+
+def direct_closure_certificate(b: Bihypergraph, side: str, limits=None):
+    """Reference for ``decide_by_resolution(b, "ef")`` (side 'E') and
+    ``"fe"`` (side 'F'): the path they took before they ran as the depth-1
+    level of the alternating chain.  One ``_run_closure`` of the side's
+    family over the other family's input sets, then extraction under the
+    E-over-F / F-over-E mode label.  It reuses the closure engine on
+    purpose: what it pins is the dispatch around it."""
+    other, mode = ("F", "E-over-F") if side == "E" else ("E", "F-over-E")
+    trace, stats = resolution._Trace(), resolution._Stats()
+    antichain, has_empty = resolution._run_closure(
+        resolution._family_items(b, side), resolution._family_items(b, other),
+        limits or resolution.DEFAULT_LIMITS, trace, stats)
+    if not has_empty:
+        return Certificate(Verdict.HAS_S, None, "resolution", stats.freeze())
+    ref = antichain[0]
+    witness = None
+    if ref[0] == "step":
+        witness = resolution._extract_refutation(b, trace, ref[1], mode)
+    return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())

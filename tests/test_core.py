@@ -309,3 +309,8 @@ def test_certificate_shapes():
     assert Verdict.FAILS_S.value == "FailsS"
     part = SPartition(VertexSet.of([1]))
     assert part.x_side == VertexSet.of([1])
+
+
+def test_every_export_exists():
+    import psolve
+    assert [name for name in psolve.__all__ if not hasattr(psolve, name)] == []

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -12,7 +13,8 @@ from psolve.cli import (EXIT_INDETERMINATE, bind_proof, format_proof, main,
                         parse_proof_text)
 from psolve.core import Antichain
 
-from helpers import (LinearAntichain, all_s_partitions, grid_lists_instance,
+from helpers import (LinearAntichain, all_s_partitions,
+                     direct_closure_certificate, grid_lists_instance,
                      incremental_pivot_resolvents, level_candidate_counts,
                      naive_closure_contains_empty, rand_instance,
                      six_clause_instance)
@@ -540,3 +542,154 @@ def test_cli_level_cap_exits_indeterminate(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "Indeterminate"
     assert doc["reason"] == "pivot fan-out exceeded max_sets=8"
+
+
+def _mixed_instance(rng):
+    """A random instance whose families may hold empty sets, repeated sets
+    and sets containing others."""
+    return rand_instance(rng, max_vertices=rng.choice((6, 8, 10)),
+                         max_sets=rng.choice((4, 6, 8)),
+                         max_size=rng.choice((3, 4)),
+                         min_size=rng.choice((0, 1)))
+
+
+def _certificate_outcome(decider, b, *args):
+    try:
+        cert = decider(b, *args)
+    except ResourceLimitError as exc:
+        return str(exc)
+    proof = format_proof(b, cert.witness) if cert.witness is not None else None
+    return cert.verdict, cert.stats, cert.witness, proof
+
+
+def test_ef_fe_are_the_direct_closures():
+    """'ef' and 'fe' run as the depth-1 alternating chain from E and from
+    F, and give what one closure of that family over the other's input sets
+    gives: the same verdict, stats, proof and proof text, and under every
+    ``max_sets`` cap from 1 to 40 the same ResourceLimitError message."""
+    rng = random.Random(7007)
+    seen = {"nested": 0, "empty set": 0, "FailsS": 0, "HasS": 0, "capped": 0}
+    for _ in range(500):
+        b = _mixed_instance(rng)
+        families = [[vs.mask for vs in b.e_sets], [vs.mask for vs in b.f_sets]]
+        seen["nested"] += any(m != n and m & n == m
+                              for fam in families for m in fam for n in fam)
+        seen["empty set"] += any(0 in fam for fam in families)
+        for side, strategy in (("E", "ef"), ("F", "fe")):
+            for cap in (None, *range(1, 41)):
+                limits = Limits(max_sets=cap) if cap else None
+                got = _certificate_outcome(decide_by_resolution, b, strategy,
+                                           limits)
+                assert got == _certificate_outcome(direct_closure_certificate,
+                                                   b, side, limits)
+                if cap is None:
+                    seen[got[0].value] += 1
+                else:
+                    seen["capped"] += isinstance(got, str)
+            own, other = ((b.e_sets, b.f_sets) if side == "E"
+                          else (b.f_sets, b.e_sets))
+            assert alternating_closure(b, 1, side) == closure(own, other)
+    assert min(seen.values()) > 50, seen
+
+
+def test_one_step_rule_types_ef_and_fe_proofs(fixtures_dir):
+    """Every 'ef' and 'fe' proof is an 'alternating 1' proof; under the
+    other direction's label it fails at its first step, whose premises are
+    then on the wrong side (or, with none, whose pivot is)."""
+    cases = []
+    rng = random.Random(7008)
+    for _ in range(800):
+        b = _mixed_instance(rng)
+        for strategy in ("ef", "fe"):
+            proof = decide_by_resolution(b, strategy).witness
+            if proof is not None:
+                cases.append((b, proof))
+    for b, name in ((six_clause_instance(), "unsat3_ef.prf"),
+                    (six_clause_instance(), "unsat3_fe.prf"),
+                    (grid_lists_instance(), "grid_lists_ef.prf")):
+        mode, steps = parse_proof_text((fixtures_dir / name).read_text(), name)
+        cases.append((b, bind_proof(b, mode, steps)))
+    swapped = {"E-over-F": "F-over-E", "F-over-E": "E-over-F"}
+    reasons = {"not available": 0, "opposite closure side": 0}
+    for b, proof in cases:
+        assert check_refutation(b, proof)
+        assert check_refutation(b, Refutation("alternating 1", proof.steps))
+        outcome = check_refutation(b, Refutation(swapped[proof.mode],
+                                                 proof.steps))
+        first = proof.steps[0]
+        reason = "not available" if first.premises else "opposite closure side"
+        assert not outcome and outcome.step_id == first.step_id
+        assert reason in outcome.reason
+        reasons[reason] += 1
+    assert min(reasons.values()) > 10, reasons
+
+
+def test_checker_and_resolve_share_one_pairing_rule():
+    """A step with a tampered pairing or conclusion fails the check with
+    exactly the message ``resolve`` raises for its pairing, or, when
+    ``resolve`` accepts the pairing, checks iff the resolvent is the
+    conclusion."""
+    rng = random.Random(7009)
+    outcomes = {"checks": 0, "resolve raises": 0, "other resolvent": 0}
+    for _ in range(600):
+        b = _mixed_instance(rng)
+        proof = decide_by_resolution(b, rng.choice(("ef", "fe"))).witness
+        if proof is None:
+            continue
+        k = rng.randrange(len(proof.steps))
+        step = proof.steps[k]
+        pairing = []
+        for v, idx in step.pairing:
+            roll = rng.random()
+            if roll < 0.15:
+                v += rng.choice((1, -1))
+            elif roll < 0.6:
+                idx = rng.randrange(len(step.premises) + 1)
+            pairing.append((v, idx))
+        if pairing and rng.random() < 0.3:
+            pairing.pop(rng.randrange(len(pairing)))
+        if pairing and rng.random() < 0.3:
+            pairing.append(rng.choice(pairing))
+        conclusion = step.conclusion
+        if rng.random() < 0.3:
+            flip = 1 << rng.randrange(b.vertex_count)
+            conclusion = VertexSet(conclusion.mask ^ flip)
+        tampered = Refutation(proof.mode, proof.steps[:k] + (ResolutionStep(
+            step.step_id, conclusion, step.premises, step.pivot,
+            tuple(pairing)),) + proof.steps[k + 1:])
+        sets = dict(zip(b.e_labels, b.e_sets))
+        sets.update(zip(b.f_labels, b.f_sets))
+        sets.update((s.step_id, s.conclusion) for s in proof.steps[:k])
+        try:
+            resolvent = resolve([sets[p] for p in step.premises],
+                                sets[step.pivot], pairing)
+        except ValueError as exc:
+            reason = str(exc)
+            outcomes["resolve raises"] += 1
+        else:
+            if resolvent == conclusion:
+                assert check_refutation(b, tampered)
+                outcomes["checks"] += 1
+                continue
+            reason = "conclusion differs from the resolvent of the pairing"
+            outcomes["other resolvent"] += 1
+        outcome = check_refutation(b, tampered)
+        assert not outcome and outcome.step_id == step.step_id
+        assert outcome.reason == reason
+    assert min(outcomes.values()) > 10, outcomes
+
+
+def test_decide_leaves_no_reference_cycles():
+    """A run frees its closures by reference counting alone: it leaves no
+    cycle for the collector, which would hold every level's sets."""
+    rng = random.Random(7010)
+    instances = [six_clause_instance()] + [_mixed_instance(rng) for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for b in instances:
+            for strategy in ("ef", "fe", "alt:1", "alt:3"):
+                decide_by_resolution(b, strategy)
+                assert gc.collect() == 0, strategy
+    finally:
+        gc.enable()
