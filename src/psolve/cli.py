@@ -73,9 +73,11 @@ def parse_instance_text(text: str, path: str = "<instance>") -> Bihypergraph:
     ``f [LABEL:] NAME*`` an F-set.  Undeclared names are interned at first
     occurrence; omitted labels default to E1../F1.. by position.
 
-    Each distinct vertex name is checked once, at its first occurrence in
-    the file, so a bad name is reported at the line where it first appears;
-    ``build`` then checks the distinct names again without a line number.
+    Each distinct vertex name and each explicit label is checked once, at
+    its first occurrence in the file, so a bad token is reported at the
+    line where it first appears.  ``Bihypergraph`` then checks the names
+    and labels it holds, and its errors (a repeated ``v`` name, a repeated
+    label) carry no line number.
     """
     declared: list[str] = []
     accepted: set[str] = set()
@@ -487,9 +489,8 @@ def cmd_check(args) -> int:
         outcome = check_refutation(b, refutation)
         result_ok, step_id, reason = outcome.ok, outcome.step_id, outcome.reason
     if args.json:
-        print(json.dumps({"command": "check", "valid": result_ok,
-                          "step": step_id, "reason": reason},
-                         sort_keys=True, indent=2))
+        _emit({"command": "check", "valid": result_ok,
+               "step": step_id, "reason": reason})
     elif result_ok:
         print("proof: valid")
     else:
@@ -532,7 +533,7 @@ def cmd_analyze(args) -> int:
     b = parse_instance_text(_read(args.instance), args.instance)
     reports = analyze(b)
     if args.json:
-        print(json.dumps({
+        _emit({
             "command": "analyze",
             "reports": [{
                 "criterion": r.criterion,
@@ -541,7 +542,7 @@ def cmd_analyze(args) -> int:
                 "threshold": None if r.threshold is None else str(r.threshold),
                 "note": r.note,
             } for r in reports],
-        }, sort_keys=True, indent=2))
+        })
     else:
         for r in reports:
             detail = []
@@ -563,9 +564,8 @@ def cmd_oracle(args) -> int:
     if args.json:
         witness = (list(b.names_of(cert.witness.x_side))
                    if isinstance(cert.witness, SPartition) else None)
-        print(json.dumps({"command": "oracle", "verdict": cert.verdict.value,
-                          "witness": witness, "s_partition_count": count},
-                         sort_keys=True, indent=2))
+        _emit({"command": "oracle", "verdict": cert.verdict.value,
+               "witness": witness, "s_partition_count": count})
     else:
         print(f"verdict: {cert.verdict.value}")
         _print_witness(b, cert)

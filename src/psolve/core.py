@@ -20,10 +20,10 @@ _FORBIDDEN_CHARS = frozenset(" \t\r\n\f\v#:,/<")
 def check_token(token: str, what: str = "name") -> str:
     """Validate a vertex name or label for use in the line-oriented formats.
 
-    This is the one token predicate.  It runs where names and labels come
-    in: the text parsers, ``build``, ``Bihypergraph`` and the encoders'
-    input types.  Each of them checks a distinct token once, at its first
-    occurrence, so the first bad token is still the one reported.
+    This is the one token predicate.  ``Bihypergraph`` applies it to every
+    name and label it holds; the text parsers apply it once per distinct
+    token, at its first occurrence, so they can report the line; the
+    encoders' input types apply it to their own names.
     """
     if not isinstance(token, str) or not token:
         raise ValueError(f"empty {what} token")
@@ -228,8 +228,6 @@ class Bihypergraph:
                 if vs.mask >> len(self.names):
                     raise ValueError(f"{family}-set member id out of range: {vs!r}")
         object.__setattr__(self, "_name_index", index)
-        object.__setattr__(self, "_e_index", {l: i for i, l in enumerate(self.e_labels)})
-        object.__setattr__(self, "_f_index", {l: i for i, l in enumerate(self.f_labels)})
 
     @property
     def vertex_count(self) -> int:
@@ -259,18 +257,6 @@ class Bihypergraph:
             raise ValueError("vertex id out of range for this instance")
         return VertexSet(self.full_set.mask & ~vs.mask)
 
-    def e_set(self, label: str) -> VertexSet:
-        try:
-            return self.e_sets[self._e_index[label]]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"unknown E-label {label!r}") from None
-
-    def f_set(self, label: str) -> VertexSet:
-        try:
-            return self.f_sets[self._f_index[label]]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"unknown F-label {label!r}") from None
-
 
 def build(names: Iterable[str] = (),
           e_sets: Iterable[Iterable[str]] = (),
@@ -283,31 +269,28 @@ def build(names: Iterable[str] = (),
     name appearing only inside a set is interned at first occurrence.
     Labels default to E1..En and F1..Fm.
 
-    Each distinct name is checked with ``check_token`` once, when it is
-    interned, so the first bad name in that order is the one reported;
-    ``Bihypergraph`` then checks the names and labels as a whole.
+    ``build`` checks nothing itself.  ``Bihypergraph`` reports the first
+    bad or repeated name in id order, then the labels, so the first error
+    is the first bad name in the order above.  All arguments are consumed
+    before that check, so a set or label list that is not iterable raises
+    its ``TypeError`` even when an earlier name is bad.
     """
-    interned: dict[str, int] = {}
-    order: list[str] = []
-    for name in names:
-        check_token(name, "vertex name")
-        if name in interned:
-            raise ValueError(f"duplicate vertex name {name!r}")
-        interned[name] = len(order)
-        order.append(name)
+    order = list(names)
+    interned = {name: i for i, name in enumerate(order) if isinstance(name, str)}
 
     def masks(sets: Iterable[Iterable[str]]) -> tuple[VertexSet, ...]:
         out = []
         for s in sets:
             mask = 0
             for name in s:
-                # Only a str can be interned; anything else goes to
-                # check_token, which rejects it before it is hashed.
+                # A non-str is never hashed: it gets an id of its own, and
+                # Bihypergraph rejects it.
                 i = interned.get(name) if isinstance(name, str) else None
                 if i is None:
-                    check_token(name, "vertex name")
-                    i = interned[name] = len(order)
+                    i = len(order)
                     order.append(name)
+                    if isinstance(name, str):
+                        interned[name] = i
                 mask |= 1 << i
             out.append(VertexSet(mask))
         return tuple(out)

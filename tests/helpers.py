@@ -12,7 +12,7 @@ import random
 
 from psolve import (Bihypergraph, Certificate, ResourceLimitError, Verdict,
                     VertexSet, build, resolution)
-from psolve.core import Antichain
+from psolve.core import Antichain, check_token
 
 _FORBIDDEN_CHARS = set(" \t\r\n\f\v#:,/<")
 
@@ -28,6 +28,41 @@ def reference_check_token(token, what: str = "name"):
             "whitespace or any of '#:,/<'"
         )
     return token
+
+
+def reference_build(names=(), e_sets=(), f_sets=(), e_labels=None,
+                    f_labels=None) -> Bihypergraph:
+    """Reference for ``psolve.build``: the version that checked each name
+    itself, with ``check_token`` and a duplicate test, as it interned it,
+    before ``Bihypergraph`` checked everything again."""
+    interned: dict[str, int] = {}
+    order: list[str] = []
+    for name in names:
+        check_token(name, "vertex name")
+        if name in interned:
+            raise ValueError(f"duplicate vertex name {name!r}")
+        interned[name] = len(order)
+        order.append(name)
+
+    def masks(sets):
+        out = []
+        for s in sets:
+            mask = 0
+            for name in s:
+                i = interned.get(name) if isinstance(name, str) else None
+                if i is None:
+                    check_token(name, "vertex name")
+                    i = interned[name] = len(order)
+                    order.append(name)
+                mask |= 1 << i
+            out.append(VertexSet(mask))
+        return tuple(out)
+
+    e_vs = masks(e_sets)
+    f_vs = masks(f_sets)
+    e_lab = tuple(e_labels) if e_labels is not None else tuple(f"E{i + 1}" for i in range(len(e_vs)))
+    f_lab = tuple(f_labels) if f_labels is not None else tuple(f"F{i + 1}" for i in range(len(f_vs)))
+    return Bihypergraph(tuple(order), e_vs, f_vs, e_lab, f_lab)
 
 
 def all_s_partitions(b: Bihypergraph) -> list[frozenset[int]]:

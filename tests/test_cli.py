@@ -139,6 +139,34 @@ class TestTokenChecks:
                          for i in range(30)] + [("z", None, ("s1",), "F1")]
 
 
+def test_check_token_counts(monkeypatch):
+    """``Bihypergraph`` is the one check of the names and labels it holds:
+    ``build`` adds no call, and ``parse_instance_text`` adds one per
+    distinct name and explicit label, for the line number."""
+    calls = []
+
+    def counting(token, what="name"):
+        calls.append(token)
+        return check_token(token, what)
+
+    monkeypatch.setattr("psolve.core.check_token", counting)
+    monkeypatch.setattr("psolve.cli.check_token", counting)
+    rng = random.Random(113)
+    for _ in range(40):
+        b = rand_instance(rng, max_vertices=8, max_sets=5, max_size=4)
+        held = len(b.names) + len(b.e_sets) + len(b.f_sets)
+        calls.clear()
+        assert build(b.names, map(b.names_of, b.e_sets), map(b.names_of, b.f_sets)) == b
+        assert len(calls) == held
+        calls.clear()
+        assert parse_instance_text(format_instance(b)) == b
+        assert len(calls) == 2 * held
+    calls.clear()
+    b = parse_instance_text("v a\ne a b\ne L: b c\nf c a\nf b d\n")
+    assert b.names == ("a", "b", "c", "d")
+    assert len(calls) == (4 + 1) + (4 + 4)
+
+
 class TestDecideCommand:
     def test_exit_codes_track_verdict_only(self, capsys, unsat3, trivial_instance):
         for method in ("search", "resolution", "oracle"):

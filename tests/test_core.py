@@ -1,4 +1,7 @@
+import ast
 import itertools
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from psolve import (Bihypergraph, SPartition, Verdict, VertexSet, build,
                     validate)
 from psolve.core import Antichain, check_token
 
-from helpers import (LinearAntichain, all_s_partitions, reference_check_token,
-                     six_clause_instance)
+from helpers import (LinearAntichain, all_s_partitions, reference_build,
+                     reference_check_token, six_clause_instance)
 
 
 def _outcome(check, *args):
@@ -152,6 +155,66 @@ class TestBuild:
         warnings = validate(b)
         assert len(warnings) == 1 and "equal" in warnings[0]
         assert validate(six_clause_instance()) == []
+
+
+_GOOD_NAMES = ("a", "b", "c", "d", "e")
+_BAD_NAMES = ("a b", "x:y", "{}", "", "p,q", "t\tab", "r/s", 7, b"a", None, ["a"])
+_GOOD_LABELS = ("L1", "L2", "L3", "E1", "F2")
+_BAD_LABELS = ("L:", "", "{}", "x<y", None, 3)
+
+
+def _random_build_call(rng):
+    """Arguments for one ``build`` call, every one of them iterable: names
+    mostly good, with bad and non-str ones, repeats inside and outside
+    ``names``, empty sets, and label lists that may repeat a label, hold a
+    bad one or have the wrong length."""
+    def name():
+        return rng.choice(_BAD_NAMES if rng.random() < 0.08 else _GOOD_NAMES)
+
+    def family():
+        return [[name() for _ in range(rng.randint(0, 3))]
+                for _ in range(rng.randint(0, 3))]
+
+    def labels(sets):
+        if rng.random() < 0.5:
+            return None
+        count = max(0, len(sets) + rng.choice((0, 0, 0, -1, 1)))
+        return [rng.choice(_BAD_LABELS if rng.random() < 0.1 else _GOOD_LABELS)
+                for _ in range(count)]
+
+    if rng.random() < 0.5:
+        names = rng.sample(_GOOD_NAMES, rng.randint(0, 4))
+        names[rng.randint(0, len(names)):0] = [name() for _ in range(rng.randint(0, 1))]
+    else:
+        names = [name() for _ in range(rng.randint(0, 4))]
+    e_sets, f_sets = family(), family()
+    return (names, e_sets, f_sets, labels(e_sets), labels(f_sets),
+            rng.choice((list, tuple, iter)))
+
+
+def test_build_matches_reference():
+    """``build`` gives the same ``Bihypergraph``, or raises the same
+    exception type and message, as the reference that checked each name
+    itself, over 6000 random calls."""
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(6000):
+        names, e_sets, f_sets, e_labels, f_labels, kind = _random_build_call(rng)
+
+        def call(fn):
+            try:
+                return ("built", fn(kind(names),
+                                    kind(kind(s) for s in e_sets),
+                                    kind(kind(s) for s in f_sets),
+                                    None if e_labels is None else kind(e_labels),
+                                    None if f_labels is None else kind(f_labels)))
+            except Exception as exc:
+                return (type(exc), str(exc))
+
+        got, want = call(build), call(reference_build)
+        assert got == want, (names, e_sets, f_sets, e_labels, f_labels)
+        outcomes.add(want[0] if want[0] == "built" else want[1].split(" ")[0])
+    assert {"built", "empty", "invalid", "duplicate", "E:", "F:"} <= outcomes
 
 
 class TestDirectConstruction:
@@ -314,3 +377,14 @@ def test_certificate_shapes():
 def test_every_export_exists():
     import psolve
     assert [name for name in psolve.__all__ if not hasattr(psolve, name)] == []
+
+
+def test_no_assert_in_library():
+    """Soundness checks raise explicitly: ``python -O`` strips ``assert``."""
+    import psolve
+    src = pathlib.Path(psolve.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
