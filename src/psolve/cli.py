@@ -22,9 +22,8 @@ from .encodings import (CnfFormula, ColoringInstance, SdrInstance, from_cnf,
 from .oracle import (DEFAULT_MAX_VERTICES, UniverseTooLargeError,
                      brute_force_decide, count_s_partitions)
 from .resolution import (DEFAULT_LIMITS, Limits, Refutation, ResolutionStep,
-                         ResourceLimitError, check_refutation,
-                         decide_by_resolution, _parse_strategy)
-from .search import SetTooLargeError, decide
+                         ResourceLimitError, check_refutation, _parse_strategy)
+from .search import SetTooLargeError, decide, with_refutation
 
 EXIT_HAS_S = 0
 EXIT_FAILS_S = 1
@@ -413,21 +412,20 @@ def _print_witness(b: Bihypergraph, cert: Certificate) -> None:
 # ---------------------------------------------------------------------------
 # Commands
 
-def _limits_from(args) -> Limits | None:
+def _limits_from(args) -> Limits:
+    """The limits of decide; PSOLVE_MAX_SETS stands in for no --max-sets."""
     max_sets = args.max_sets
     if max_sets is None:
-        env = os.environ.get(ENV_MAX_SETS)
-        if env is not None:
-            try:
-                max_sets = int(env)
-            except ValueError:
-                raise ParseError(f"{ENV_MAX_SETS} must be an integer, got {env!r}",
-                                 "environment") from None
-    max_rounds = args.max_rounds
-    if max_sets is None and max_rounds is None:
-        return None
-    return Limits(max_sets=max_sets if max_sets is not None else DEFAULT_LIMITS.max_sets,
-                  max_rounds=max_rounds if max_rounds is not None else DEFAULT_LIMITS.max_rounds)
+        env = os.environ.get(ENV_MAX_SETS, str(DEFAULT_LIMITS.max_sets))
+        try:
+            max_sets = int(env)
+        except ValueError:
+            raise ParseError(f"{ENV_MAX_SETS} must be an integer, got {env!r}",
+                             "environment") from None
+        if max_sets < 0:
+            raise ParseError(f"{ENV_MAX_SETS} must be nonnegative, got {env!r}",
+                             "environment")
+    return Limits(max_sets=max_sets, max_rounds=args.max_rounds)
 
 
 def cmd_decide(args) -> int:
@@ -449,16 +447,13 @@ def cmd_decide(args) -> int:
         return EXIT_INDETERMINATE
 
     if args.proof and cert.verdict is Verdict.FAILS_S:
-        refutation = cert.witness if isinstance(cert.witness, Refutation) else None
-        if refutation is None:
-            try:
-                refutation = decide_by_resolution(b, args.strategy, limits).witness
-            except ResourceLimitError as exc:
-                print(f"warning: no refutation within limits ({exc})", file=sys.stderr)
-        if isinstance(refutation, Refutation):
+        try:
+            cert = with_refutation(b, cert, args.strategy, limits)
+        except ResourceLimitError as exc:
+            print(f"warning: no refutation within limits ({exc})", file=sys.stderr)
+        if isinstance(cert.witness, Refutation):
             with open(args.proof, "w", encoding="utf-8") as handle:
-                handle.write(format_proof(b, refutation))
-            cert = Certificate(cert.verdict, refutation, cert.method, cert.stats)
+                handle.write(format_proof(b, cert.witness))
         else:
             print("warning: no refutation to write", file=sys.stderr)
 
@@ -582,6 +577,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _cap_arg(value: str) -> int:
+    """The type of --max-sets and --max-rounds: a nonnegative int."""
+    try:
+        cap = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value!r}")
+    return cap
+
+
 def _strategy_arg(value: str) -> str:
     try:
         _parse_strategy(value)
@@ -604,10 +610,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--proof", metavar="OUT",
                    help="write a refutation (.prf) when the instance fails")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-sets", type=int, default=None,
+    p.add_argument("--max-sets", type=_cap_arg, default=None,
                    help="cap on the kept sets of a closure and on the distinct unions "
                         f"of one union-DP level (or {ENV_MAX_SETS})")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_cap_arg,
+                   default=DEFAULT_LIMITS.max_rounds)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("check", help="validate a refutation against an instance")

@@ -35,6 +35,19 @@ def check_token(token: str, what: str = "name") -> str:
     return token
 
 
+def check_distinct(tokens: Iterable[str], what: str,
+                   repeat: str | None = None) -> dict[str, int]:
+    """``check_token`` each of ``tokens`` in order and reject the first
+    repeat ("duplicate <repeat or what>"); returns each token's position."""
+    index: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        check_token(token, what)
+        if token in index:
+            raise ValueError(f"duplicate {repeat or what} {token!r}")
+        index[token] = i
+    return index
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Canonical immutable vertex set.
@@ -208,22 +221,12 @@ class Bihypergraph:
     f_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        index: dict[str, int] = {}
-        for i, name in enumerate(self.names):
-            check_token(name, "vertex name")
-            if name in index:
-                raise ValueError(f"duplicate vertex name {name!r}")
-            index[name] = i
+        index = check_distinct(self.names, "vertex name")
         for family, sets, labels in (("E", self.e_sets, self.e_labels),
                                      ("F", self.f_sets, self.f_labels)):
             if len(sets) != len(labels):
                 raise ValueError(f"{family}: one label per set required")
-            seen: set[str] = set()
-            for label in labels:
-                check_token(label, "label")
-                if label in seen:
-                    raise ValueError(f"duplicate {family}-label {label!r}")
-                seen.add(label)
+            check_distinct(labels, "label", f"{family}-label")
             for vs in sets:
                 if vs.mask >> len(self.names):
                     raise ValueError(f"{family}-set member id out of range: {vs!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Bihypergraph, VertexSet, build, check_token
+from .core import Bihypergraph, VertexSet, build, check_distinct, check_token
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,7 @@ class ColoringInstance:
     lists: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for v in self.vertices:
-            check_token(v, "graph vertex")
-            if v in seen:
-                raise ValueError(f"duplicate graph vertex {v!r}")
-            seen.add(v)
+        seen = check_distinct(self.vertices, "graph vertex")
         for a1, a2 in self.edges:
             if a1 == a2:
                 raise ValueError(f"self-loop edge on {a1!r}")
@@ -254,12 +249,7 @@ class SdrInstance:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.families):
             raise ValueError("one label per set required")
-        seen: set[str] = set()
-        for label in self.labels:
-            check_token(label, "set index")
-            if label in seen:
-                raise ValueError(f"duplicate set index {label!r}")
-            seen.add(label)
+        check_distinct(self.labels, "set index")
         deduped = []
         checked: set[str] = set()
         for elems in self.families:

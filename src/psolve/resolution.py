@@ -5,12 +5,13 @@ derive the resolvent e = union of (ci minus {vi}).  Closing one family under
 resolution on pivots drawn from the other decides property S: the instance
 fails iff the empty set is derivable.  This module implements single steps,
 closures with subsumption reduction, alternating closures, refutation
-extraction from recorded parent links, and an independent refutation checker.
+extraction, and an independent refutation checker.  Each kept set carries
+its own derivation (see ``_run_closure``), so a refutation is unwound from
+the empty set alone, and a subsumed set's derivation is freed with it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -151,24 +152,6 @@ class _Stats:
         return ClosureStats(self.generated, self.kept, self.subsumed, self.rounds)
 
 
-class _Trace:
-    """Derivation records for every set ever kept, indexed by step number.
-
-    A record is (mask, pivot_ref, pairing) where pairing is a tuple of
-    (vertex, premise_ref) pairs in ascending vertex order.  References are
-    ('E', i) / ('F', i) for input sets and ('step', k) for records.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[tuple[int, tuple, tuple]] = []
-
-    def add(self, mask: int, pivot_ref: tuple, pairing: tuple) -> int:
-        self.records.append((mask, pivot_ref, pairing))
-        return len(self.records) - 1
-
-
 def _minimal_masks(masks: Iterable[int]) -> set[int]:
     """The subset-minimal members of a nonempty collection of distinct masks.
 
@@ -206,7 +189,7 @@ def _minimal_masks(masks: Iterable[int]) -> set[int]:
     return kept
 
 
-def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
+def _pivot_resolvents(working: Iterable[tuple[int, object]], pivot_mask: int,
                       limits: Limits, stats: _Stats,
                       prune_against: Antichain | None = None):
     """All resolvents of ``working`` on one pivot, subsumption-reduced.
@@ -235,7 +218,9 @@ def _pivot_resolvents(working: Iterable[tuple[int, tuple]], pivot_mask: int,
     closed, so pruning the minimal candidates keeps the same set as taking
     the minimal members of the unpruned ones.
 
-    Returns a list of (mask, pairing) with pairing as in _Trace.  The
+    Returns a list of (mask, pairing); a pairing is a tuple of (vertex,
+    payload) pairs in ascending vertex order, the payload being that of the
+    ``working`` set paired with the vertex.  The
     closure loop passes its own antichain as ``prune_against`` and inserts
     the finals with no further subsumption test; the public enumeration
     must not prune.
@@ -288,14 +273,14 @@ def all_resolvents(working: Iterable[VertexSet], pivot: VertexSet,
     single resolvent {} (the empty union over zero premises).
     """
     limits = limits or DEFAULT_LIMITS
-    items = [(vs.mask, ("W", i)) for i, vs in enumerate(working)]
+    items = [(vs.mask, None) for vs in working]
     finals = _pivot_resolvents(items, pivot.mask, limits, _Stats())
     return tuple(sorted((VertexSet(m) for m, _ in finals), key=lambda v: v.members))
 
 
-def _run_closure(base_items: Iterable[tuple[int, tuple]],
-                 pivot_items: Iterable[tuple[int, tuple]],
-                 limits: Limits, trace: _Trace, stats: _Stats):
+def _run_closure(base_items: Iterable[tuple[int, object]],
+                 pivot_items: Iterable[tuple[int, object]],
+                 limits: Limits, stats: _Stats):
     """Close ``base_items`` under resolution on ``pivot_items``.
 
     Maintains the kept sets as an indexed ``Antichain`` (only subset-minimal
@@ -304,13 +289,20 @@ def _run_closure(base_items: Iterable[tuple[int, tuple]],
     admitted at most once, because every admitted mask leaves behind a kept
     subset of itself for the rest of the run.
 
+    Items are (mask, payload) pairs; an input set's payload is its label
+    (None from ``closure``, whose refs nobody reads).  A derived set is
+    kept with its derivation ``(number, mask, pivot_ref, pairing)``:
+    ``number`` is ``stats.kept`` at its insertion, so numbers follow
+    derivation order across a whole chain, and the refs are the payloads
+    of its pivot and of the sets in its pairing.
+
     Returns (antichain, contains_empty) where antichain maps each kept mask
-    to its ref, in insertion order; when contains_empty, the empty mask is
-    its only key.
+    to its payload, in insertion order; when contains_empty, the empty mask
+    is its only key.
     """
     antichain = Antichain()
 
-    def insert(mask: int, ref: tuple) -> None:
+    def insert(mask: int, ref) -> None:
         stats.subsumed += len(antichain.add(mask, ref))
         stats.kept += 1
         if stats.kept > limits.max_sets:
@@ -343,17 +335,17 @@ def _run_closure(base_items: Iterable[tuple[int, tuple]],
             # No final needs a subsumption test: the DP pruned each against
             # this antichain, and the finals are an antichain themselves.
             for mask, pairing in finals:
-                idx = trace.add(mask, dref, pairing)
-                insert(mask, ("step", idx))
+                insert(mask, (stats.kept, mask, dref, pairing))
                 changed = True
                 if mask == 0:
                     return antichain.sets, True
     return antichain.sets, False
 
 
-def _family_items(b: Bihypergraph, side: str) -> list[tuple[int, tuple]]:
-    sets = b.e_sets if side == "E" else b.f_sets
-    return [(vs.mask, (side, i)) for i, vs in enumerate(sets)]
+def _family_items(b: Bihypergraph, side: str) -> list[tuple[int, str]]:
+    sets, labels = ((b.e_sets, b.e_labels) if side == "E"
+                    else (b.f_sets, b.f_labels))
+    return [(vs.mask, label) for vs, label in zip(sets, labels)]
 
 
 def _closure_result(antichain, contains_empty, stats: _Stats) -> ClosureResult:
@@ -366,15 +358,15 @@ def closure(a_family: Iterable[VertexSet], d_family: Iterable[VertexSet],
     """The closure of ``a_family`` under resolution on pivots from
     ``d_family``, subsumption-reduced, with early exit once {} is derived."""
     limits = limits or DEFAULT_LIMITS
-    trace, stats = _Trace(), _Stats()
-    base = [(vs.mask, ("A", i)) for i, vs in enumerate(a_family)]
-    pivots = [(vs.mask, ("D", i)) for i, vs in enumerate(d_family)]
-    antichain, has_empty = _run_closure(base, pivots, limits, trace, stats)
+    stats = _Stats()
+    base = [(vs.mask, None) for vs in a_family]
+    pivots = [(vs.mask, None) for vs in d_family]
+    antichain, has_empty = _run_closure(base, pivots, limits, stats)
     return _closure_result(antichain, has_empty, stats)
 
 
 def _alternating_items(b: Bihypergraph, n: int, side: str, limits: Limits,
-                       trace: _Trace, stats: _Stats):
+                       stats: _Stats):
     """Iterated closure chain: level 0 is the (reduced) base family, level 1
     closes the base family over the other family's input sets, and level k
     closes it over the level k-1 closure of the other side.
@@ -388,13 +380,13 @@ def _alternating_items(b: Bihypergraph, n: int, side: str, limits: Limits,
     Returns (antichain, contains_empty) of the requested level.
     """
     if n == 0:
-        return _run_closure(_family_items(b, side), (), limits, trace, stats)
+        return _run_closure(_family_items(b, side), (), limits, stats)
     flip = {"E": "F", "F": "E"}
     s = side if n % 2 else flip[side]
-    pivots: Iterable[tuple[int, tuple]] = _family_items(b, flip[s])
+    pivots: Iterable[tuple[int, object]] = _family_items(b, flip[s])
     for _ in range(n):
         antichain, has_empty = _run_closure(_family_items(b, s), pivots,
-                                            limits, trace, stats)
+                                            limits, stats)
         pivots, s = antichain.items(), flip[s]
     return antichain, has_empty
 
@@ -413,21 +405,21 @@ def alternating_closure(b: Bihypergraph, n: int, side: str = "E",
     if n < 0:
         raise ValueError("depth must be nonnegative")
     limits = limits or DEFAULT_LIMITS
-    trace, stats = _Trace(), _Stats()
-    antichain, has_empty = _alternating_items(b, n, side, limits, trace, stats)
+    stats = _Stats()
+    antichain, has_empty = _alternating_items(b, n, side, limits, stats)
     return _closure_result(antichain, has_empty, stats)
 
 
-def _parse_strategy(strategy: str) -> tuple[str, int, str]:
-    """A strategy's chain: (starting side, depth, proof mode label)."""
+def _parse_strategy(strategy: str) -> str:
+    """A strategy's proof mode label; ``_parse_mode`` gives its chain."""
     if strategy == "ef":
-        return "E", 1, MODE_E_OVER_F
+        return MODE_E_OVER_F
     if strategy == "fe":
-        return "F", 1, MODE_F_OVER_E
+        return MODE_F_OVER_E
     if strategy.startswith("alt:"):
         depth = strategy[4:]
         if depth.isdigit() and int(depth) > 0:
-            return "E", int(depth), f"alternating {int(depth)}"
+            return f"alternating {int(depth)}"
     raise ValueError(f"unknown strategy {strategy!r} (expected ef, fe or alt:N)")
 
 
@@ -438,34 +430,29 @@ def _fresh_step_ids(count: int, taken: set[str]) -> list[str]:
     return [f"{prefix}{k + 1}" for k in range(count)]
 
 
-def _extract_refutation(b: Bihypergraph, trace: _Trace, final_idx: int,
-                        mode: str) -> Refutation:
-    needed: set[int] = set()
-    stack = [final_idx]
+def _extract_refutation(b: Bihypergraph, final: tuple, mode: str) -> Refutation:
+    """Unwind the derivation ``final`` (a derived set's payload) into steps
+    in derivation order; input refs are named by their own labels."""
+    needed: dict[int, tuple] = {}
+    stack = [final]
     while stack:
-        j = stack.pop()
-        if j in needed:
+        record = stack.pop()
+        if record[0] in needed:
             continue
-        needed.add(j)
-        _, pivot_ref, pairing = trace.records[j]
-        for ref in itertools.chain([pivot_ref], (r for _, r in pairing)):
-            if ref[0] == "step":
-                stack.append(ref[1])
+        needed[record[0]] = record
+        _, _, pivot_ref, pairing = record
+        stack.extend(ref for ref in (pivot_ref, *(r for _, r in pairing))
+                     if not isinstance(ref, str))
     order = sorted(needed)
     taken = set(b.e_labels) | set(b.f_labels)
     ids = dict(zip(order, _fresh_step_ids(len(order), taken)))
 
-    def ref_str(ref: tuple) -> str:
-        kind, i = ref
-        if kind == "E":
-            return b.e_labels[i]
-        if kind == "F":
-            return b.f_labels[i]
-        return ids[i]
+    def ref_str(ref) -> str:
+        return ref if isinstance(ref, str) else ids[ref[0]]
 
     steps = []
     for j in order:
-        mask, pivot_ref, pairing = trace.records[j]
+        _, mask, pivot_ref, pairing = needed[j]
         premises: list[str] = []
         position: dict[str, int] = {}
         pairs = []
@@ -484,25 +471,25 @@ def decide_by_resolution(b: Bihypergraph, strategy: str = "ef",
                          limits: Limits | None = None) -> Certificate:
     """Decide property S by the chosen closure discipline.
 
-    Every strategy runs the alternating chain (``_alternating_items``):
-    'ef' is its depth-1 level from E (E closed over the input F-sets), 'fe'
-    its depth-1 level from F, and 'alt:N' its depth-N level from E.  A fixed
-    point without the empty set certifies HasS; otherwise the recorded
-    parent links are unwound into a Refutation.  When the empty set is an
-    input set, the verdict is FailsS with no derivation (there is nothing to
-    derive).
+    The strategy names a proof mode, whose rule (``_parse_mode``) fixes the
+    alternating chain: 'ef' runs its depth-1 level from E (E closed over the
+    input F-sets), 'fe' its depth-1 level from F, and 'alt:N' its depth-N
+    level from E.  A fixed point without the empty set certifies HasS;
+    otherwise the empty set's derivation is unwound into a Refutation, or,
+    when the empty set is an input set, FailsS has no derivation.
     """
     limits = limits or DEFAULT_LIMITS
-    side, depth, mode = _parse_strategy(strategy)
-    trace, stats = _Trace(), _Stats()
-    antichain, has_empty = _alternating_items(b, depth, side, limits,
-                                              trace, stats)
+    mode = _parse_strategy(strategy)
+    side, depth = _parse_mode(mode)
+    stats = _Stats()
+    antichain, has_empty = _alternating_items(b, depth, side or "E", limits,
+                                              stats)
     if not has_empty:
         return Certificate(Verdict.HAS_S, None, "resolution", stats.freeze())
     ref = antichain[0]  # the empty mask, by now the only kept one
     witness = None
-    if ref[0] == "step":
-        witness = _extract_refutation(b, trace, ref[1], mode)
+    if not isinstance(ref, str):
+        witness = _extract_refutation(b, ref, mode)
     return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())
 
 

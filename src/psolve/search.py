@@ -288,8 +288,8 @@ def decide(b: Bihypergraph, method: str = "search", strategy: str = "ef",
     HasS certificates carry the method's canonical witness partition.
     FailsS certificates carry a Refutation when the resolution engine
     produced one; other methods report bare exhaustion unless
-    ``proof_on_fail`` asks for a follow-up resolution run (whose resource
-    limits then apply).
+    ``proof_on_fail`` asks for ``with_refutation`` (whose resource limits
+    then apply).
     """
     if method == "search":
         x = _search_witness(b)
@@ -309,14 +309,24 @@ def decide(b: Bihypergraph, method: str = "search", strategy: str = "ef",
     else:
         raise ValueError(f"unknown method {method!r} (expected one of {_METHODS})")
 
-    if (proof_on_fail and cert.verdict is Verdict.FAILS_S
-            and cert.witness is None and method != "resolution"):
-        follow_up = decide_by_resolution(b, strategy, limits)
-        if follow_up.verdict is not Verdict.FAILS_S:
-            raise RuntimeError(f"{method} said FailsS but resolution said HasS")
-        cert = replace(cert, witness=follow_up.witness)
+    if proof_on_fail:
+        cert = with_refutation(b, cert, strategy, limits)
 
     if cert.verdict is Verdict.HAS_S and cert.witness is not None:
         if not check_s_partition(b, cert.witness.x_side):
             raise RuntimeError(f"{method} returned a witness that is not an S-partition")
     return cert
+
+
+def with_refutation(b: Bihypergraph, cert: Certificate, strategy: str = "ef",
+                    limits: Limits | None = None) -> Certificate:
+    """A FailsS certificate from search, 2sat or the oracle, with the witness
+    of a follow-up resolution run (None when the empty set is an input set);
+    other certificates come back as they are.  The run may raise
+    ``ResourceLimitError``; a HasS from it is a RuntimeError."""
+    if cert.verdict is not Verdict.FAILS_S or cert.method == "resolution":
+        return cert
+    follow_up = decide_by_resolution(b, strategy, limits)
+    if follow_up.verdict is not Verdict.FAILS_S:
+        raise RuntimeError(f"{cert.method} said FailsS but resolution said HasS")
+    return replace(cert, witness=follow_up.witness)

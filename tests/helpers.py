@@ -446,14 +446,14 @@ def direct_closure_certificate(b: Bihypergraph, side: str, limits=None):
     E-over-F / F-over-E mode label.  It reuses the closure engine on
     purpose: what it pins is the dispatch around it."""
     other, mode = ("F", "E-over-F") if side == "E" else ("E", "F-over-E")
-    trace, stats = resolution._Trace(), resolution._Stats()
+    stats = resolution._Stats()
     antichain, has_empty = resolution._run_closure(
         resolution._family_items(b, side), resolution._family_items(b, other),
-        limits or resolution.DEFAULT_LIMITS, trace, stats)
+        limits or resolution.DEFAULT_LIMITS, stats)
     if not has_empty:
         return Certificate(Verdict.HAS_S, None, "resolution", stats.freeze())
     ref = antichain[0]
     witness = None
-    if ref[0] == "step":
-        witness = resolution._extract_refutation(b, trace, ref[1], mode)
+    if not isinstance(ref, str):
+        witness = resolution._extract_refutation(b, ref, mode)
     return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from psolve import ColoringInstance, SdrInstance, build
+from psolve import (Certificate, ColoringInstance, SdrInstance, Verdict, build,
+                    resolution, search)
 from psolve.cli import (EXIT_DATA, EXIT_FAILS_S, EXIT_HAS_S,
                         EXIT_INDETERMINATE, EXIT_NOINPUT, EXIT_USAGE,
                         ParseError, format_instance, main, parse_graph,
@@ -227,6 +228,45 @@ class TestDecideCommand:
         monkeypatch.setenv("PSOLVE_MAX_SETS", "nonsense")
         code, _, err = run(capsys, "decide", unsat3, "--method", "resolution")
         assert code == EXIT_DATA and "PSOLVE_MAX_SETS" in err
+
+    def test_negative_caps_are_rejected(self, capsys, unsat3, monkeypatch):
+        for flag in ("--max-sets", "--max-rounds"):
+            with pytest.raises(SystemExit) as info:
+                main(["decide", unsat3, "--method", "resolution", flag, "-1"])
+            assert info.value.code == EXIT_USAGE
+            assert f"{flag}: must be nonnegative" in capsys.readouterr().err
+        monkeypatch.setenv("PSOLVE_MAX_SETS", "-4")
+        code, _, err = run(capsys, "decide", unsat3, "--method", "resolution")
+        assert code == EXIT_DATA and "PSOLVE_MAX_SETS must be nonnegative" in err
+        monkeypatch.delenv("PSOLVE_MAX_SETS")
+        code, _, _ = run(capsys, "decide", unsat3, "--method", "resolution",
+                         "--max-sets", "0")
+        assert code == EXIT_INDETERMINATE
+
+    def test_follow_up_that_answers_has_s_raises(self, capsys, tmp_path,
+                                                  unsat3, monkeypatch):
+        """--proof runs the follow-up of ``decide(proof_on_fail=True)``: a
+        resolution run that contradicts search is a fault, not a warning."""
+        monkeypatch.setattr(search, "decide_by_resolution",
+                            lambda b, strategy, limits: Certificate(
+                                Verdict.HAS_S, None, "resolution"))
+        with pytest.raises(RuntimeError, match="search said FailsS"):
+            main(["decide", unsat3, "--proof", str(tmp_path / "out.prf")])
+
+    def test_empty_input_set_runs_resolution_once(self, capsys, tmp_path,
+                                                   monkeypatch):
+        """A resolution FailsS with no derivation (the empty set is an input
+        set) is not decided again for --proof: one closure chain runs."""
+        inst = tmp_path / "empty.bhg"
+        inst.write_text("v a\ne L:\nf a\n")
+        chains = []
+        run_chain = resolution._alternating_items
+        monkeypatch.setattr(resolution, "_alternating_items",
+                            lambda *args: chains.append(args) or run_chain(*args))
+        code, _, err = run(capsys, "decide", str(inst), "--method", "resolution",
+                           "--proof", str(tmp_path / "out.prf"))
+        assert code == EXIT_FAILS_S and "no refutation to write" in err
+        assert len(chains) == 1
 
     def test_2sat_rejects_large_sets(self, capsys, unsat3):
         code, _, err = run(capsys, "decide", unsat3, "--method", "2sat")

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psolve import (Bihypergraph, SPartition, Verdict, VertexSet, build,
-                    check_s_partition, family_intersection, is_transversal,
-                    validate)
+from psolve import (Bihypergraph, ColoringInstance, SPartition, SdrInstance,
+                    Verdict, VertexSet, build, check_s_partition,
+                    family_intersection, is_transversal, validate)
 from psolve.core import Antichain, check_token
 
 from helpers import (LinearAntichain, all_s_partitions, reference_build,
@@ -233,6 +233,27 @@ class TestDirectConstruction:
                 Bihypergraph(("a",), e, (), (bad,), ())
             with pytest.raises(ValueError, match="label"):
                 Bihypergraph(("a",), (), e, (), (bad,))
+
+
+def test_name_tuples_report_the_first_bad_or_repeated_token():
+    """Every tuple of names is checked in order, token before repeat, with
+    its own wording of either fault."""
+    e = (VertexSet.of([0]),)
+    cases = [
+        (lambda t: Bihypergraph(t, (), (), (), ()), "vertex name", "vertex name"),
+        (lambda t: Bihypergraph(("a",), e * len(t), (), t, ()), "label", "E-label"),
+        (lambda t: Bihypergraph(("a",), (), e * len(t), (), t), "label", "F-label"),
+        (lambda t: ColoringInstance(t, (), colors=1), "graph vertex", "graph vertex"),
+        (lambda t: SdrInstance(t, ((),) * len(t)), "set index", "set index"),
+    ]
+    for make, what, repeat in cases:
+        with pytest.raises(ValueError) as info:
+            make(("x", "y", "x", "b:d"))
+        assert str(info.value) == f"duplicate {repeat} 'x'"
+        with pytest.raises(ValueError) as info:
+            make(("x", "b:d", "x"))
+        assert str(info.value).startswith(f"invalid {what} 'b:d'")
+        make(("x", "y"))
 
 
 class TestIsTransversal:

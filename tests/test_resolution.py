@@ -1,16 +1,18 @@
 import gc
+import hashlib
 import json
 import random
 
 import pytest
 
-from psolve import (Limits, Refutation, ResolutionStep, ResourceLimitError,
-                    Verdict, VertexSet, all_resolvents, alternating_closure,
-                    brute_force_decide, build, check_refutation, closure,
-                    conditions, decide_by_resolution, resolution, resolve,
+from psolve import (CnfFormula, Limits, Refutation, ResolutionStep,
+                    ResourceLimitError, Verdict, VertexSet, all_resolvents,
+                    alternating_closure, brute_force_decide, build,
+                    check_refutation, closure, conditions,
+                    decide_by_resolution, from_cnf, resolution, resolve,
                     upset_bound_check)
 from psolve.cli import (EXIT_INDETERMINATE, bind_proof, format_proof, main,
-                        parse_proof_text)
+                        parse_instance_text, parse_proof_text)
 from psolve.core import Antichain
 
 from helpers import (LinearAntichain, all_s_partitions,
@@ -693,3 +695,42 @@ def test_decide_leaves_no_reference_cycles():
                 assert gc.collect() == 0, strategy
     finally:
         gc.enable()
+
+
+# SHA-256 of the outcomes listed by ``test_generated_proofs_are_pinned``.
+GENERATED_PROOFS_DIGEST = "b4b2a901ea7801102835d4d1b6dae80b6eb3312512a67e804512345c7c5cd6bf"
+
+
+def test_generated_proofs_are_pinned(fixtures_dir):
+    """The proofs psolve writes, with their step ids, step order and
+    pairings, are pinned by a digest of verdict, stats, every step and the
+    ``.prf`` text over 300 seeded instances, 40 seeded 3-CNF encodings
+    (whose unions often arise twice in one DP level) and the two ``.bhg``
+    fixtures, under 'ef', 'fe' and 'alt:2'."""
+    rng = random.Random(7011)
+    instances = [_mixed_instance(rng) for _ in range(300)]
+    for _ in range(40):
+        n = rng.randint(5, 8)
+        clauses = tuple(tuple(v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, n + 1), 3))
+                        for _ in range(rng.randint(3 * n, 6 * n)))
+        instances.append(from_cnf(CnfFormula(n, clauses)).bihypergraph)
+    for name in ("unsat3.bhg", "grid_lists.bhg"):
+        instances.append(parse_instance_text((fixtures_dir / name).read_text()))
+    digest = hashlib.sha256()
+    proofs = 0
+    for b in instances:
+        for strategy in ("ef", "fe", "alt:2"):
+            cert = decide_by_resolution(b, strategy)
+            record = [cert.verdict.value, list(vars(cert.stats).values())]
+            if cert.witness is not None:
+                proofs += 1
+                record.append(cert.witness.mode)
+                record.extend([s.step_id, list(s.conclusion.members),
+                               list(s.premises), s.pivot,
+                               [list(p) for p in s.pairing]]
+                              for s in cert.witness.steps)
+                record.append(format_proof(b, cert.witness))
+            digest.update(json.dumps(record).encode())
+    assert proofs > 330
+    assert digest.hexdigest() == GENERATED_PROOFS_DIGEST
