@@ -305,7 +305,8 @@ def parse_graph(text: str, path: str = "<graph>") -> ColoringInstance:
         elif tag == "colors":
             if colors is not None:
                 raise ParseError("duplicate 'colors' line", path, lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if (len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit())
+                    or int(tokens[1]) < 1):
                 raise ParseError("'colors' takes a positive integer", path, lineno)
             colors = int(tokens[1])
         elif tag == "list":

@@ -27,15 +27,22 @@ class ResourceLimitError(Exception):
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps on closure work: kept sets and rounds.
+    """Caps on closure work: kept sets and rounds, each nonnegative.
 
     ``max_sets`` also caps the distinct candidate unions collected at one
-    level of a pivot's union DP, before they are reduced; there is no
-    separate fan-out cap and no work or time budget.
+    level of a pivot's union DP, before they are reduced.  From a pivot's
+    second round on, the closure collects no union of old sets alone at the
+    last level (see ``_pivot_resolvents``), so the cap counts only the
+    unions that involve a new set.  There is no separate fan-out cap and no
+    work or time budget.
     """
 
     max_sets: int = 1_000_000
     max_rounds: int = 10_000
+
+    def __post_init__(self) -> None:
+        if self.max_sets < 0 or self.max_rounds < 0:
+            raise ValueError(f"limits must be nonnegative, got {self}")
 
 
 DEFAULT_LIMITS = Limits()
@@ -158,8 +165,8 @@ def _minimal_masks(masks: Iterable[int]) -> set[int]:
     Visits them by size, so no later mask is a subset of a kept one and
     nothing kept is ever evicted: a mask is kept iff no kept mask is a
     subset of it.  The kept masks are filed in plain lists under their
-    lowest member.  The empty mask,
-    which every mask contains, ends the pass at once.
+    lowest member.  The empty mask, which every mask contains, ends the
+    pass at once.
     """
     order = sorted(masks, key=int.bit_count)
     if not order[0]:
@@ -189,9 +196,9 @@ def _minimal_masks(masks: Iterable[int]) -> set[int]:
     return kept
 
 
-def _pivot_resolvents(working: Iterable[tuple[int, object]], pivot_mask: int,
-                      limits: Limits, stats: _Stats,
-                      prune_against: Antichain | None = None):
+def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
+                      pivot_mask: int, limits: Limits, stats: _Stats,
+                      prune_against: Antichain | None = None, old: int = 0):
     """All resolvents of ``working`` on one pivot, subsumption-reduced.
 
     Runs a union DP over the pivot elements in ascending id order: the
@@ -218,37 +225,71 @@ def _pivot_resolvents(working: Iterable[tuple[int, object]], pivot_mask: int,
     closed, so pruning the minimal candidates keeps the same set as taking
     the minimal members of the unpruned ones.
 
+    ``working`` is any family of (mask, payload) pairs, or the
+    ``Antichain`` that is also ``prune_against``: the closure's own call.
+    Then the first level's candidates ``m - v`` are distinct, pairwise
+    incomparable and contain no kept mask, so they are taken as the level's
+    states as they are; the level cap still applies.
+
+    ``old`` counts the leading working sets whose resolvents on this pivot
+    alone all contain a mask of ``prune_against`` (the closure's sets from
+    before this pivot's previous DP).  The DP tracks the states reachable
+    from those sets alone, and at the last pivot member skips every pair of
+    such a state with an old set: each union skipped is pruned, so the
+    finals, their pairings and their order are those of the full DP, but the
+    level cap counts only the unions collected.
+
     Returns a list of (mask, pairing); a pairing is a tuple of (vertex,
     payload) pairs in ascending vertex order, the payload being that of the
-    ``working`` set paired with the vertex.  The
-    closure loop passes its own antichain as ``prune_against`` and inserts
-    the finals with no further subsumption test; the public enumeration
-    must not prune.
+    ``working`` set paired with the vertex.  The closure loop inserts the
+    finals with no further subsumption test; the public enumeration must
+    not prune.
     """
+    own = working is prune_against
+    items = list(prune_against.sets.items() if own else working)
+    old_items, new_items = items[:old], items[old:]
+    members = VertexSet(pivot_mask).members
+    last = len(members) - 1
     states: dict[int, tuple | None] = {0: None}
+    old_states = {0}
     level_maps: list[dict[int, tuple]] = []
     pruned = prune_against.has_subset if prune_against is not None else None
-    for v in VertexSet(pivot_mask).members:
+    for i, v in enumerate(members):
         bit = 1 << v
-        choices = [(m & ~bit, ref) for m, ref in working if m & bit]
+        old_choices = [(m & ~bit, ref) for m, ref in old_items if m & bit]
+        new_choices = [(m & ~bit, ref) for m, ref in new_items if m & bit]
+        choices = old_choices + new_choices
         if not choices:
             return []
-        candidates: dict[int, tuple] = {}
-        for s in states:
-            for cm, ref in choices:
-                u = s | cm
-                if u not in candidates:
-                    candidates[u] = (s, v, ref)
-            if len(candidates) > limits.max_sets:
+        skip = old_states if i == last else ()
+        if own and i == 0:
+            level = new_choices if 0 in skip else choices
+            if len(level) > limits.max_sets:
                 raise ResourceLimitError(
                     f"pivot fan-out exceeded max_sets={limits.max_sets}")
-        keep = _minimal_masks(candidates)
-        states = {u: payload for u, payload in candidates.items()
-                  if u in keep and (pruned is None or not pruned(u))}
-        del candidates
+            states = {cm: (0, v, ref) for cm, ref in level}
+        else:
+            candidates: dict[int, tuple] = {}
+            for s in states:
+                for cm, ref in (new_choices if s in skip else choices):
+                    u = s | cm
+                    if u not in candidates:
+                        candidates[u] = (s, v, ref)
+                if len(candidates) > limits.max_sets:
+                    raise ResourceLimitError(
+                        f"pivot fan-out exceeded max_sets={limits.max_sets}")
+            if not candidates:
+                return []
+            keep = _minimal_masks(candidates)
+            states = {u: payload for u, payload in candidates.items()
+                      if u in keep and (pruned is None or not pruned(u))}
+            del candidates
         if not states:
             return []
         level_maps.append(states)
+        if i < last:
+            old_states = {s | cm for s in old_states
+                          for cm, _ in old_choices}.intersection(states)
 
     finals = []
     for final_mask in states:
@@ -269,8 +310,9 @@ def all_resolvents(working: Iterable[VertexSet], pivot: VertexSet,
     """Every resolvent obtainable from ``working`` by resolving on ``pivot``,
     deduplicated and subsumption-reduced against each other.
 
-    ``working`` is expected to be an antichain.  The empty pivot yields the
-    single resolvent {} (the empty union over zero premises).
+    ``working`` may be any family: repeated sets and sets containing others
+    are allowed.  The empty pivot yields the single resolvent {} (the empty
+    union over zero premises).
     """
     limits = limits or DEFAULT_LIMITS
     items = [(vs.mask, None) for vs in working]
@@ -284,10 +326,21 @@ def _run_closure(base_items: Iterable[tuple[int, object]],
     """Close ``base_items`` under resolution on ``pivot_items``.
 
     Maintains the kept sets as an indexed ``Antichain`` (only subset-minimal
-    sets survive), which also prunes each pivot's union DP, and stops as
-    soon as the empty set is derived.  Termination: each distinct mask is
-    admitted at most once, because every admitted mask leaves behind a kept
-    subset of itself for the rest of the run.
+    sets survive), which is both the working family and the prune of each
+    pivot's union DP, and stops as soon as the empty set is derived.
+    Termination: each distinct mask is admitted at most once, because every
+    admitted mask leaves behind a kept subset of itself for the rest of the
+    run.
+
+    Rounds are semi-naive (Bancilhon & Ramakrishnan 1986).  Each pivot's
+    mark is ``stats.kept`` at the start of its last DP; from its second DP
+    on, the sets kept before that mark are old, the input sets among them.
+    Every resolvent of old sets alone already contains a kept set: the
+    previous DP ran to completion over them and all its finals were
+    inserted, and a kept set is only ever replaced by a subset of itself.
+    So the DP skips the old-only unions at its last level (see
+    ``_pivot_resolvents``), with the same finals, pairings and stats.
+    The antichain keeps insertion order, so the old sets lead it.
 
     Items are (mask, payload) pairs; an input set's payload is its label
     (None from ``closure``, whose refs nobody reads).  A derived set is
@@ -323,15 +376,27 @@ def _run_closure(base_items: Iterable[tuple[int, object]],
             seen_pivots.add(mask)
             pivots.append((mask, ref))
 
+    sets = antichain.sets
+    marks: list[int | None] = [None] * len(pivots)
     changed = bool(pivots)
     while changed:
         stats.rounds += 1
         if stats.rounds > limits.max_rounds:
             raise ResourceLimitError(f"round limit {limits.max_rounds} exceeded")
         changed = False
-        for dmask, dref in pivots:
-            finals = _pivot_resolvents(antichain.sets.items(), dmask, limits,
-                                       stats, prune_against=antichain)
+        for i, (dmask, dref) in enumerate(pivots):
+            # Count the old sets: all but the trailing run of derived sets
+            # numbered at or above the pivot's mark.
+            old = 0
+            if marks[i] is not None:
+                old = len(sets)
+                for ref in reversed(sets.values()):
+                    if not isinstance(ref, tuple) or ref[0] < marks[i]:
+                        break
+                    old -= 1
+            marks[i] = stats.kept
+            finals = _pivot_resolvents(antichain, dmask, limits, stats,
+                                       prune_against=antichain, old=old)
             # No final needs a subsumption test: the DP pruned each against
             # this antichain, and the finals are an antichain themselves.
             for mask, pairing in finals:
@@ -418,7 +483,7 @@ def _parse_strategy(strategy: str) -> str:
         return MODE_F_OVER_E
     if strategy.startswith("alt:"):
         depth = strategy[4:]
-        if depth.isdigit() and int(depth) > 0:
+        if depth.isascii() and depth.isdigit() and int(depth) > 0:
             return f"alternating {int(depth)}"
     raise ValueError(f"unknown strategy {strategy!r} (expected ef, fe or alt:N)")
 
@@ -501,7 +566,8 @@ def _parse_mode(mode: str) -> tuple[str | None, int]:
     if mode == MODE_F_OVER_E:
         return "F", 1
     parts = mode.split()
-    if len(parts) == 2 and parts[0] == "alternating" and parts[1].isdigit():
+    if (len(parts) == 2 and parts[0] == "alternating" and parts[1].isascii()
+            and parts[1].isdigit()):
         return None, int(parts[1])
     raise ValueError(f"unknown proof mode {mode!r}")
 

@@ -457,3 +457,50 @@ def direct_closure_certificate(b: Bihypergraph, side: str, limits=None):
     if not isinstance(ref, str):
         witness = resolution._extract_refutation(b, ref, mode)
     return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())
+
+
+def full_rounds_closure(base_items, pivot_items, limits, stats):
+    """Reference for ``psolve.resolution._run_closure``: the round loop as
+    the engine ran it before semi-naive rounds.  Every round resolves each
+    pivot over all kept sets, through the DP's general path (a separate
+    working family, level 1 reduced and pruned, no old sets), so it
+    repeats every union of the round before."""
+    antichain = Antichain()
+
+    def insert(mask, ref):
+        stats.subsumed += len(antichain.add(mask, ref))
+        stats.kept += 1
+        if stats.kept > limits.max_sets:
+            raise ResourceLimitError(f"kept-set limit {limits.max_sets} exceeded")
+
+    for mask, ref in base_items:
+        if antichain.has_subset(mask):
+            stats.subsumed += 1
+            continue
+        insert(mask, ref)
+        if mask == 0:
+            return antichain.sets, True
+
+    pivots = []
+    seen_pivots = set()
+    for mask, ref in pivot_items:
+        if mask not in seen_pivots:
+            seen_pivots.add(mask)
+            pivots.append((mask, ref))
+
+    changed = bool(pivots)
+    while changed:
+        stats.rounds += 1
+        if stats.rounds > limits.max_rounds:
+            raise ResourceLimitError(f"round limit {limits.max_rounds} exceeded")
+        changed = False
+        for dmask, dref in pivots:
+            finals = resolution._pivot_resolvents(
+                antichain.sets.items(), dmask, limits, stats,
+                prune_against=antichain)
+            for mask, pairing in finals:
+                insert(mask, (stats.kept, mask, dref, pairing))
+                changed = True
+                if mask == 0:
+                    return antichain.sets, True
+    return antichain.sets, False

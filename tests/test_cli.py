@@ -243,6 +243,16 @@ class TestDecideCommand:
                          "--max-sets", "0")
         assert code == EXIT_INDETERMINATE
 
+    def test_strategy_depth_takes_ascii_digits_only(self, capsys, unsat3):
+        """A superscript or Arabic-Indic digit is no alt:N depth: each is an
+        unknown strategy, a usage error."""
+        for strategy in ("alt:\u00b2", "alt:\u0663"):
+            with pytest.raises(SystemExit) as info:
+                main(["decide", unsat3, "--method", "resolution",
+                      "--strategy", strategy])
+            assert info.value.code == EXIT_USAGE
+            assert f"unknown strategy {strategy!r}" in capsys.readouterr().err
+
     def test_follow_up_that_answers_has_s_raises(self, capsys, tmp_path,
                                                   unsat3, monkeypatch):
         """--proof runs the follow-up of ``decide(proof_on_fail=True)``: a
@@ -356,6 +366,16 @@ class TestEncodeCommand:
         graph.write_text("vertex a\n")
         code, _, err = run(capsys, "encode", "coloring", str(graph))
         assert code == EXIT_DATA and "colors" in err
+
+    def test_colors_takes_ascii_digits_only(self, capsys, tmp_path):
+        """A superscript or Arabic-Indic digit is no color count: the line
+        is a data error, as any other non-count is."""
+        graph = tmp_path / "digits.graph"
+        for count in ("\u00b2", "\u0663", "x", "0"):
+            graph.write_text(f"vertex a\ncolors {count}\n", encoding="utf-8")
+            code, _, err = run(capsys, "encode", "coloring", str(graph))
+            assert code == EXIT_DATA, count
+            assert "'colors' takes a positive integer" in err
 
     def test_empty_list_warns(self, capsys, tmp_path):
         graph = tmp_path / "gap.graph"

@@ -16,7 +16,8 @@ from psolve.cli import (EXIT_INDETERMINATE, bind_proof, format_proof, main,
 from psolve.core import Antichain
 
 from helpers import (LinearAntichain, all_s_partitions,
-                     direct_closure_certificate, grid_lists_instance,
+                     direct_closure_certificate, full_rounds_closure,
+                     grid_lists_instance,
                      incremental_pivot_resolvents, level_candidate_counts,
                      naive_closure_contains_empty, rand_instance,
                      six_clause_instance)
@@ -263,6 +264,12 @@ class TestDecideByResolution:
         with pytest.raises(ValueError):
             decide_by_resolution(six_clause_instance(), "alt:0")
 
+    def test_strategy_depth_takes_ascii_digits_only(self):
+        b = six_clause_instance()
+        for strategy in ("alt:\u00b2", "alt:\u0663"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                decide_by_resolution(b, strategy)
+
     def test_closure_preserves_witnesses(self):
         # every S-partition's X keeps meeting everything derived from E
         rng = random.Random(41)
@@ -290,6 +297,12 @@ class TestLimits:
         b = six_clause_instance()
         with pytest.raises(ResourceLimitError):
             decide_by_resolution(b, "ef", Limits(max_rounds=0))
+
+    def test_negative_caps_are_rejected(self):
+        for caps in ({"max_sets": -1}, {"max_rounds": -1}):
+            with pytest.raises(ValueError, match="nonnegative"):
+                Limits(**caps)
+        assert Limits(max_sets=0, max_rounds=0).max_sets == 0
 
     def test_generous_limits_succeed(self):
         cert = decide_by_resolution(six_clause_instance(), "ef",
@@ -375,6 +388,18 @@ class TestCheckRefutation:
         step = ResolutionStep("7", VertexSet(), (), "A")
         outcome = check_refutation(b, Refutation("widdershins", (step,)))
         assert not outcome and "mode" in outcome.reason
+
+    def test_mode_depth_takes_ascii_digits_only(self, fixtures_dir):
+        b = six_clause_instance()
+        text = (fixtures_dir / "unsat3_ef.prf").read_text()
+        mode, steps = parse_proof_text(text, "unsat3_ef.prf")
+        proof = bind_proof(b, mode, steps)
+        assert check_refutation(b, Refutation("alternating 1", proof.steps))
+        for depth in ("\u00b2", "\u0663"):
+            mode = f"alternating {depth}"
+            outcome = check_refutation(b, Refutation(mode, proof.steps))
+            assert not outcome
+            assert outcome.reason == f"unknown proof mode {mode!r}"
 
     def test_label_shared_by_both_families_is_ambiguous(self):
         b = build(["a", "b"], [["a", "b"]], [["a"]],
@@ -528,6 +553,138 @@ def test_tight_caps_give_the_oracle_verdict_or_indeterminate():
     assert outcomes["pivot fan-out"] > 20, outcomes
     assert min(outcomes["HasS"], outcomes["FailsS"],
                outcomes["kept-set"]) > 1000, outcomes
+
+
+def _dp_outcome(working, pivot, limits, prune):
+    stats = resolution._Stats()
+    try:
+        finals = resolution._pivot_resolvents(working, pivot, limits, stats,
+                                              prune_against=prune)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return finals, stats.generated
+
+
+def test_closure_call_takes_level_one_as_it_is():
+    """The closure's own call, its antichain as both the working family and
+    the prune, takes the first level's candidates unreduced and unpruned:
+    it gives what the general path gives on that antichain's items, the
+    same finals, pairings and count, and under each small cap the same
+    ResourceLimitError message."""
+    rng = random.Random(6009)
+    seen = {"finals": 0, "one member": 0, "capped": 0, "none": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        antichain = Antichain()
+        for i in range(rng.randint(0, 12)):
+            m = sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(4, n))))
+            if not antichain.has_subset(m):
+                antichain.add(m, ("W", i))
+        pivot = sum(1 << v for v in rng.sample(range(n + 1),
+                                                rng.randint(1, min(4, n + 1))))
+        for cap in (None, 1, 2, 3, 4, 6):
+            limits = Limits(max_sets=cap) if cap else Limits()
+            got = _dp_outcome(antichain, pivot, limits, antichain)
+            assert got == _dp_outcome(antichain.sets.items(), pivot, limits,
+                                      antichain)
+            if cap is None:
+                seen["finals" if got[0] else "none"] += 1
+                seen["one member"] += bool(got[0]) and pivot.bit_count() == 1
+            else:
+                seen["capped"] += isinstance(got, str)
+    assert min(seen.values()) > 100, seen
+
+
+def _random_3cnf_instance(rng):
+    n = rng.randint(5, 8)
+    clauses = tuple(tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, n + 1), 3))
+                    for _ in range(rng.randint(3 * n, 6 * n)))
+    return from_cnf(CnfFormula(n, clauses)).bihypergraph
+
+
+def _round_outputs(b):
+    out = []
+    for strategy in ("ef", "fe", "alt:1", "alt:2", "alt:3"):
+        cert = decide_by_resolution(b, strategy)
+        proof = format_proof(b, cert.witness) if cert.witness is not None else None
+        out.append((cert.verdict, cert.stats, cert.witness, proof))
+    out += [closure(b.e_sets, b.f_sets), closure(b.f_sets, b.e_sets)]
+    out += [alternating_closure(b, n, side) for n in (1, 2, 3) for side in "EF"]
+    return out
+
+
+def test_semi_naive_rounds_match_full_rounds(monkeypatch):
+    """Semi-naive rounds give what full rounds give: with the round loop
+    that resolves every pivot over all kept sets in every round, the same
+    verdicts, stats, refutations with their pairings, proof text, closures
+    and alternating closures, on seeded random instances and 3-CNF
+    encodings.  Many closures run a second round, and many chains find
+    the empty set in a later level, after such a round.  None of these
+    closures derives a set after its first round, so the DP-level test
+    below covers old sets next to productive new ones."""
+    rng = random.Random(6010)
+    instances = [rand_instance(rng, max_vertices=rng.choice((8, 10, 12)),
+                               max_sets=rng.choice((6, 8, 10)),
+                               max_size=rng.choice((3, 4, 5)))
+                 for _ in range(150)]
+    instances += [_random_3cnf_instance(rng) for _ in range(30)]
+    semi_naive = [_round_outputs(b) for b in instances]
+    monkeypatch.setattr(resolution, "_run_closure", full_rounds_closure)
+    full = [_round_outputs(b) for b in instances]
+    assert semi_naive == full
+    seen = {"HasS after 2+ rounds": 0, "FailsS, {} in chain round 2+": 0}
+    for out in semi_naive:
+        for verdict, stats, _, _ in out[:5]:
+            if verdict is Verdict.HAS_S:
+                seen["HasS after 2+ rounds"] += stats.rounds >= 2
+            else:
+                seen["FailsS, {} in chain round 2+"] += stats.rounds >= 2
+    assert min(seen.values()) > 10, seen
+
+
+def test_old_sets_skip_only_pruned_unions():
+    """A closure DP that marks old sets gives the full DP's finals,
+    pairings and count.  Each case is a random antichain closed once on a
+    pivot (the old sets and that DP's finals, as a closure round leaves
+    them), then given random new sets, which may evict old ones."""
+    rng = random.Random(6011)
+    seen = {"old": 0, "new finals": 0, "none": 0, "3+ members": 0}
+    for _ in range(1500):
+        n = rng.randint(2, 10)
+
+        def mask(most, least=1):
+            return sum(1 << v for v in rng.sample(
+                range(n), rng.randint(least, min(most, n))))
+
+        antichain = Antichain()
+        for i in range(rng.randint(1, 12)):
+            m = mask(4)
+            if not antichain.has_subset(m):
+                antichain.add(m, ("old", i))
+        pivot = mask(4, least=2)
+        previous = resolution._pivot_resolvents(
+            antichain, pivot, Limits(), resolution._Stats(), antichain)
+        if any(m == 0 for m, _ in previous):
+            continue
+        for m, pairing in previous:
+            antichain.add(m, ("final", pairing))
+        for i in range(rng.randint(0, 5)):
+            m = rng.choice(VertexSet(pivot).members)
+            m = 1 << m | (mask(2) if rng.random() < 0.7 else 0)
+            if not antichain.has_subset(m):
+                antichain.add(m, ("new", i))
+        old = sum(ref[0] == "old" for ref in antichain.sets.values())
+        semi, full = resolution._Stats(), resolution._Stats()
+        got = resolution._pivot_resolvents(antichain, pivot, Limits(), semi,
+                                           antichain, old)
+        assert got == resolution._pivot_resolvents(
+            antichain.sets.items(), pivot, Limits(), full, antichain)
+        assert semi.generated == full.generated
+        seen["old"] += old > 0
+        seen["new finals" if got else "none"] += 1
+        seen["3+ members"] += bool(got) and pivot.bit_count() >= 3
+    assert min(seen.values()) > 100, seen
 
 
 def test_cli_level_cap_exits_indeterminate(tmp_path, capsys):
