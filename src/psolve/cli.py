@@ -54,6 +54,14 @@ class ProofBindError(Exception):
         super().__init__(f"step {step_id}: {reason}")
 
 
+def _ascii_int(token: str) -> int | None:
+    """``token`` as an int when it is ASCII digits after an optional ``-``,
+    else None.  ``int()`` alone would also take other Unicode digits, a
+    ``+``, underscores and surrounding whitespace."""
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
+
+
 def _content_lines(text: str):
     """Strip comments ('#' to end of line) and blanks; yield (lineno, line)."""
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -237,20 +245,19 @@ def parse_dimacs(text: str, path: str = "<cnf>") -> CnfFormula:
                 raise ParseError("duplicate header", path, lineno)
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError("expected 'p cnf VARS CLAUSES'", path, lineno)
-            try:
-                header = (int(tokens[2]), int(tokens[3]))
-            except ValueError:
-                raise ParseError("expected 'p cnf VARS CLAUSES'", path, lineno) from None
-            if header[0] < 0 or header[1] < 0:
+            counts = (_ascii_int(tokens[2]), _ascii_int(tokens[3]))
+            if None in counts:
+                raise ParseError("expected 'p cnf VARS CLAUSES'", path, lineno)
+            if counts[0] < 0 or counts[1] < 0:
                 raise ParseError("negative counts in header", path, lineno)
+            header = counts
             continue
         if header is None:
             raise ParseError("clause before 'p cnf' header", path, lineno)
         for token in tokens:
-            try:
-                literal = int(token)
-            except ValueError:
-                raise ParseError(f"expected an integer, got {token!r}", path, lineno) from None
+            literal = _ascii_int(token)
+            if literal is None:
+                raise ParseError(f"expected an integer, got {token!r}", path, lineno)
             if literal == 0:
                 clauses.append(tuple(current))
                 current.clear()
@@ -305,10 +312,10 @@ def parse_graph(text: str, path: str = "<graph>") -> ColoringInstance:
         elif tag == "colors":
             if colors is not None:
                 raise ParseError("duplicate 'colors' line", path, lineno)
-            if (len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit())
-                    or int(tokens[1]) < 1):
+            count = _ascii_int(tokens[1]) if len(tokens) == 2 else None
+            if count is None or count < 1:
                 raise ParseError("'colors' takes a positive integer", path, lineno)
-            colors = int(tokens[1])
+            colors = count
         elif tag == "list":
             if len(tokens) < 2:
                 raise ParseError("'list' takes a vertex name and its colors", path, lineno)
@@ -418,15 +425,14 @@ def _limits_from(args) -> Limits:
     max_sets = args.max_sets
     if max_sets is None:
         env = os.environ.get(ENV_MAX_SETS, str(DEFAULT_LIMITS.max_sets))
-        try:
-            max_sets = int(env)
-        except ValueError:
+        max_sets = _ascii_int(env)
+        if max_sets is None:
             raise ParseError(f"{ENV_MAX_SETS} must be an integer, got {env!r}",
-                             "environment") from None
+                             "environment")
         if max_sets < 0:
             raise ParseError(f"{ENV_MAX_SETS} must be nonnegative, got {env!r}",
                              "environment")
-    return Limits(max_sets=max_sets, max_rounds=args.max_rounds)
+    return Limits(max_sets=max_sets)
 
 
 def cmd_decide(args) -> int:
@@ -579,11 +585,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap_arg(value: str) -> int:
-    """The type of --max-sets and --max-rounds: a nonnegative int."""
-    try:
-        cap = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    """The type of --max-sets and --max-vertices: a nonnegative int."""
+    cap = _ascii_int(value)
+    if cap is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
     if cap < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value!r}")
     return cap
@@ -614,8 +619,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-sets", type=_cap_arg, default=None,
                    help="cap on the kept sets of a closure and on the distinct unions "
                         f"of one union-DP level (or {ENV_MAX_SETS})")
-    p.add_argument("--max-rounds", type=_cap_arg,
-                   default=DEFAULT_LIMITS.max_rounds)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("check", help="validate a refutation against an instance")
@@ -638,7 +641,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="decide and count by brute force")
     p.add_argument("instance")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=_cap_arg, default=DEFAULT_MAX_VERTICES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
     return parser

@@ -27,21 +27,18 @@ class ResourceLimitError(Exception):
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps on closure work: kept sets and rounds, each nonnegative.
+    """Caps on closure work, nonnegative.
 
-    ``max_sets`` also caps the distinct candidate unions collected at one
-    level of a pivot's union DP, before they are reduced.  From a pivot's
-    second round on, the closure collects no union of old sets alone at the
-    last level (see ``_pivot_resolvents``), so the cap counts only the
-    unions that involve a new set.  There is no separate fan-out cap and no
-    work or time budget.
+    ``max_sets`` caps the kept sets of a closure and also the distinct
+    candidate unions collected at one level of a pivot's union DP, before
+    they are reduced.  There is no separate fan-out cap and no work or time
+    budget.
     """
 
     max_sets: int = 1_000_000
-    max_rounds: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.max_sets < 0 or self.max_rounds < 0:
+        if self.max_sets < 0:
             raise ValueError(f"limits must be nonnegative, got {self}")
 
 
@@ -198,7 +195,7 @@ def _minimal_masks(masks: Iterable[int]) -> set[int]:
 
 def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
                       pivot_mask: int, limits: Limits, stats: _Stats,
-                      prune_against: Antichain | None = None, old: int = 0):
+                      prune_against: Antichain | None = None):
     """All resolvents of ``working`` on one pivot, subsumption-reduced.
 
     Runs a union DP over the pivot elements in ascending id order: the
@@ -247,31 +244,24 @@ def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
     """
     own = working is prune_against
     items = list(prune_against.sets.items() if own else working)
-    old_items, new_items = items[:old], items[old:]
     members = VertexSet(pivot_mask).members
-    last = len(members) - 1
     states: dict[int, tuple | None] = {0: None}
-    old_states = {0}
     level_maps: list[dict[int, tuple]] = []
     pruned = prune_against.has_subset if prune_against is not None else None
     for i, v in enumerate(members):
         bit = 1 << v
-        old_choices = [(m & ~bit, ref) for m, ref in old_items if m & bit]
-        new_choices = [(m & ~bit, ref) for m, ref in new_items if m & bit]
-        choices = old_choices + new_choices
+        choices = [(m & ~bit, ref) for m, ref in items if m & bit]
         if not choices:
             return []
-        skip = old_states if i == last else ()
         if own and i == 0:
-            level = new_choices if 0 in skip else choices
-            if len(level) > limits.max_sets:
+            if len(choices) > limits.max_sets:
                 raise ResourceLimitError(
                     f"pivot fan-out exceeded max_sets={limits.max_sets}")
-            states = {cm: (0, v, ref) for cm, ref in level}
+            states = {cm: (0, v, ref) for cm, ref in choices}
         else:
             candidates: dict[int, tuple] = {}
             for s in states:
-                for cm, ref in (new_choices if s in skip else choices):
+                for cm, ref in choices:
                     u = s | cm
                     if u not in candidates:
                         candidates[u] = (s, v, ref)
@@ -287,9 +277,6 @@ def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
         if not states:
             return []
         level_maps.append(states)
-        if i < last:
-            old_states = {s | cm for s in old_states
-                          for cm, _ in old_choices}.intersection(states)
 
     finals = []
     for final_mask in states:
@@ -328,19 +315,18 @@ def _run_closure(base_items: Iterable[tuple[int, object]],
     Maintains the kept sets as an indexed ``Antichain`` (only subset-minimal
     sets survive), which is both the working family and the prune of each
     pivot's union DP, and stops as soon as the empty set is derived.
-    Termination: each distinct mask is admitted at most once, because every
-    admitted mask leaves behind a kept subset of itself for the rest of the
-    run.
 
-    Rounds are semi-naive (Bancilhon & Ramakrishnan 1986).  Each pivot's
-    mark is ``stats.kept`` at the start of its last DP; from its second DP
-    on, the sets kept before that mark are old, the input sets among them.
-    Every resolvent of old sets alone already contains a kept set: the
-    previous DP ran to completion over them and all its finals were
-    inserted, and a kept set is only ever replaced by a subset of itself.
-    So the DP skips the old-only unions at its last level (see
-    ``_pivot_resolvents``), with the same finals, pairings and stats.
-    The antichain keeps insertion order, so the old sets lead it.
+    One pass over the distinct pivots saturates, as in Davis-Putnam
+    elimination done one pivot at a time (Davis & Putnam 1960; Dechter &
+    Rish 1994).  Let Phi_i say "X meets every base set and contains none of
+    the pivots d_1..d_i".  After d_i's DP, the antichain has a subset of
+    every S that Phi_i implies (every X satisfying Phi_i meets S).  For
+    i = 0 that S contains a base set.  For i > 0 and v in d_i, Phi_(i-1)
+    implies S + {v}, so by induction some kept a_v lies inside it; either
+    some a_v lies inside S, or the resolvent of the a_v on d_i does, and
+    the DP keeps it or a subset of it.  A kept set is only ever replaced by
+    a subset of itself, so at the end every resolvent, which Phi_k implies,
+    contains a kept set: a second pass would derive nothing.
 
     Items are (mask, payload) pairs; an input set's payload is its label
     (None from ``closure``, whose refs nobody reads).  A derived set is
@@ -369,41 +355,20 @@ def _run_closure(base_items: Iterable[tuple[int, object]],
         if mask == 0:
             return antichain.sets, True
 
-    pivots = []
-    seen_pivots: set[int] = set()
+    pivots: dict[int, object] = {}
     for mask, ref in pivot_items:
-        if mask not in seen_pivots:
-            seen_pivots.add(mask)
-            pivots.append((mask, ref))
-
-    sets = antichain.sets
-    marks: list[int | None] = [None] * len(pivots)
-    changed = bool(pivots)
-    while changed:
+        pivots.setdefault(mask, ref)
+    if pivots:
         stats.rounds += 1
-        if stats.rounds > limits.max_rounds:
-            raise ResourceLimitError(f"round limit {limits.max_rounds} exceeded")
-        changed = False
-        for i, (dmask, dref) in enumerate(pivots):
-            # Count the old sets: all but the trailing run of derived sets
-            # numbered at or above the pivot's mark.
-            old = 0
-            if marks[i] is not None:
-                old = len(sets)
-                for ref in reversed(sets.values()):
-                    if not isinstance(ref, tuple) or ref[0] < marks[i]:
-                        break
-                    old -= 1
-            marks[i] = stats.kept
-            finals = _pivot_resolvents(antichain, dmask, limits, stats,
-                                       prune_against=antichain, old=old)
-            # No final needs a subsumption test: the DP pruned each against
-            # this antichain, and the finals are an antichain themselves.
-            for mask, pairing in finals:
-                insert(mask, (stats.kept, mask, dref, pairing))
-                changed = True
-                if mask == 0:
-                    return antichain.sets, True
+    for dmask, dref in pivots.items():
+        finals = _pivot_resolvents(antichain, dmask, limits, stats,
+                                   prune_against=antichain)
+        # No final needs a subsumption test: the DP pruned each against this
+        # antichain, and the finals are an antichain themselves.
+        for mask, pairing in finals:
+            insert(mask, (stats.kept, mask, dref, pairing))
+            if mask == 0:
+                return antichain.sets, True
     return antichain.sets, False
 
 

@@ -459,12 +459,32 @@ def direct_closure_certificate(b: Bihypergraph, side: str, limits=None):
     return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())
 
 
+def prime_implicates(n: int, a_family, d_family) -> set[int]:
+    """Reference for ``psolve.resolution.closure(a_family, d_family)``, by
+    brute force over all 2^n vertex sets: the subset-minimal masks S that
+    every model X meets, where a model meets every ``a_family`` set and
+    contains no ``d_family`` set; {0} (the empty set) when there is no
+    model.  S is met by every model iff no model lies inside V - S."""
+    a_masks = [vs.mask for vs in a_family]
+    d_masks = [vs.mask for vs in d_family]
+    full = (1 << n) - 1
+    inside: list[bool] = []   # inside[y]: some model is a subset of y
+    for y in range(1 << n):
+        inside.append(any(y >> v & 1 and inside[y & ~(1 << v)]
+                          for v in range(n))
+                      or (all(y & a for a in a_masks)
+                          and not any(d & y == d for d in d_masks)))
+    implied = [not inside[full & ~s] for s in range(1 << n)]
+    return {s for s in range(1 << n) if implied[s]
+            and not any(s >> v & 1 and implied[s & ~(1 << v)] for v in range(n))}
+
+
 def full_rounds_closure(base_items, pivot_items, limits, stats):
-    """Reference for ``psolve.resolution._run_closure``: the round loop as
-    the engine ran it before semi-naive rounds.  Every round resolves each
-    pivot over all kept sets, through the DP's general path (a separate
-    working family, level 1 reduced and pruned, no old sets), so it
-    repeats every union of the round before."""
+    """Reference for ``psolve.resolution._run_closure``: the naive fixed
+    point.  Every round resolves each pivot over all kept sets, through the
+    DP's general path (a separate working family, level 1 reduced and
+    pruned), until a round derives nothing, so it repeats every union of
+    the round before."""
     antichain = Antichain()
 
     def insert(mask, ref):
@@ -491,8 +511,6 @@ def full_rounds_closure(base_items, pivot_items, limits, stats):
     changed = bool(pivots)
     while changed:
         stats.rounds += 1
-        if stats.rounds > limits.max_rounds:
-            raise ResourceLimitError(f"round limit {limits.max_rounds} exceeded")
         changed = False
         for dmask, dref in pivots:
             finals = resolution._pivot_resolvents(

@@ -230,9 +230,10 @@ class TestDecideCommand:
         assert code == EXIT_DATA and "PSOLVE_MAX_SETS" in err
 
     def test_negative_caps_are_rejected(self, capsys, unsat3, monkeypatch):
-        for flag in ("--max-sets", "--max-rounds"):
+        for command, flag in (("decide", "--max-sets"),
+                              ("oracle", "--max-vertices")):
             with pytest.raises(SystemExit) as info:
-                main(["decide", unsat3, "--method", "resolution", flag, "-1"])
+                main([command, unsat3, flag, "-1"])
             assert info.value.code == EXIT_USAGE
             assert f"{flag}: must be nonnegative" in capsys.readouterr().err
         monkeypatch.setenv("PSOLVE_MAX_SETS", "-4")
@@ -242,6 +243,29 @@ class TestDecideCommand:
         code, _, _ = run(capsys, "decide", unsat3, "--method", "resolution",
                          "--max-sets", "0")
         assert code == EXIT_INDETERMINATE
+
+    def test_caps_take_ascii_digits_only(self, capsys, unsat3):
+        """An Arabic-Indic digit, an underscore, a plus sign or a space is no
+        cap, for --max-sets as for --max-vertices: a usage error."""
+        for command, flag in (("decide", "--max-sets"),
+                              ("oracle", "--max-vertices")):
+            for value in ("\u0663", "1_0", "+3", " 3"):
+                with pytest.raises(SystemExit) as info:
+                    main([command, unsat3, flag, value])
+                assert info.value.code == EXIT_USAGE, (flag, value)
+                err = capsys.readouterr().err
+                assert f"{flag}: invalid int value: {value!r}" in err
+
+    def test_env_cap_takes_ascii_digits_only(self, capsys, unsat3,
+                                             monkeypatch):
+        """PSOLVE_MAX_SETS is read as the flag is: anything but ASCII digits
+        is unprocessable input."""
+        for value in ("\u0663", "1_0", "+3", " 3"):
+            monkeypatch.setenv("PSOLVE_MAX_SETS", value)
+            code, _, err = run(capsys, "decide", unsat3, "--method",
+                               "resolution")
+            assert code == EXIT_DATA, value
+            assert f"PSOLVE_MAX_SETS must be an integer, got {value!r}" in err
 
     def test_strategy_depth_takes_ascii_digits_only(self, capsys, unsat3):
         """A superscript or Arabic-Indic digit is no alt:N depth: each is an
@@ -389,6 +413,26 @@ class TestEncodeCommand:
         code, _, err = run(capsys, "encode", "cnf", str(bad))
         assert code == EXIT_DATA and ":2:" in err
 
+    def test_dimacs_takes_ascii_digits_only(self, capsys, tmp_path):
+        """Header counts and literals are ASCII digits, a literal after an
+        optional '-': an underscore, an Arabic-Indic digit or a plus sign
+        is a data error on its line, and a negative count keeps its own
+        message."""
+        path = tmp_path / "digits.cnf"
+        cases = [("p cnf 1_0 1\n1 0\n", ":1: expected 'p cnf VARS CLAUSES'"),
+                 ("p cnf 3 \u0661\n1 0\n", ":1: expected 'p cnf VARS CLAUSES'"),
+                 ("p cnf -1 0\n", ":1: negative counts in header")]
+        cases += [(f"p cnf 10 1\n1 {lit} 0\n",
+                   f":2: expected an integer, got {lit!r}")
+                  for lit in ("1_0", "-\u0663", "+2", "-", "--2")]
+        for text, message in cases:
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run(capsys, "encode", "cnf", str(path))
+            assert code == EXIT_DATA and message in err, text
+        path.write_text("p cnf 10 1\n10 -3 0\n")
+        code, out, _ = run(capsys, "encode", "cnf", str(path))
+        assert code == EXIT_HAS_S and "e E1: -3 10" in out
+
 
 class TestAnalyzeCommand:
     def test_weight_pass(self, capsys, tmp_path):
@@ -446,6 +490,9 @@ class TestErrorPaths:
         assert info.value.code == EXIT_USAGE
         with pytest.raises(SystemExit) as info:
             main(["decide", unsat3, "--strategy", "alt:x"])
+        assert info.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit) as info:
+            main(["decide", unsat3, "--max-rounds", "5"])
         assert info.value.code == EXIT_USAGE
 
     def test_parse_error_exits_65(self, capsys, tmp_path):

@@ -2,11 +2,13 @@ import gc
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from psolve import (CnfFormula, Limits, Refutation, ResolutionStep,
-                    ResourceLimitError, Verdict, VertexSet, all_resolvents,
+from psolve import (ClosureResult, CnfFormula, Limits, Refutation,
+                    ResolutionStep, ResourceLimitError, Verdict, VertexSet,
+                    all_resolvents,
                     alternating_closure, brute_force_decide, build,
                     check_refutation, closure, conditions,
                     decide_by_resolution, from_cnf, resolution, resolve,
@@ -17,7 +19,7 @@ from psolve.core import Antichain
 
 from helpers import (LinearAntichain, all_s_partitions,
                      direct_closure_certificate, full_rounds_closure,
-                     grid_lists_instance,
+                     grid_lists_instance, prime_implicates,
                      incremental_pivot_resolvents, level_candidate_counts,
                      naive_closure_contains_empty, rand_instance,
                      six_clause_instance)
@@ -293,20 +295,14 @@ class TestLimits:
         with pytest.raises(ResourceLimitError):
             decide_by_resolution(b, "ef", Limits(max_sets=3))
 
-    def test_round_limit(self):
-        b = six_clause_instance()
-        with pytest.raises(ResourceLimitError):
-            decide_by_resolution(b, "ef", Limits(max_rounds=0))
-
     def test_negative_caps_are_rejected(self):
-        for caps in ({"max_sets": -1}, {"max_rounds": -1}):
-            with pytest.raises(ValueError, match="nonnegative"):
-                Limits(**caps)
-        assert Limits(max_sets=0, max_rounds=0).max_sets == 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            Limits(max_sets=-1)
+        assert Limits(max_sets=0).max_sets == 0
 
     def test_generous_limits_succeed(self):
         cert = decide_by_resolution(six_clause_instance(), "ef",
-                                    Limits(max_sets=1000, max_rounds=100))
+                                    Limits(max_sets=1000))
         assert cert.verdict is Verdict.FAILS_S
 
 
@@ -431,7 +427,7 @@ def test_stats_track_work():
     b = six_clause_instance()
     result = closure(b.e_sets, b.f_sets)
     stats = result.stats
-    assert stats.generated > 0 and stats.kept > 0 and stats.rounds >= 1
+    assert stats.generated > 0 and stats.kept > 0 and stats.rounds == 1
     idle = closure(b.e_sets, [])
     assert idle.stats.generated == 0 and idle.stats.rounds == 0
 
@@ -614,27 +610,42 @@ def _round_outputs(b):
     return out
 
 
-def test_semi_naive_rounds_match_full_rounds(monkeypatch):
-    """Semi-naive rounds give what full rounds give: with the round loop
-    that resolves every pivot over all kept sets in every round, the same
-    verdicts, stats, refutations with their pairings, proof text, closures
-    and alternating closures, on seeded random instances and 3-CNF
-    encodings.  Many closures run a second round, and many chains find
-    the empty set in a later level, after such a round.  None of these
-    closures derives a set after its first round, so the DP-level test
-    below covers old sets next to productive new ones."""
+def _without_rounds(out):
+    """``_round_outputs`` with every ``ClosureStats.rounds`` set to 0."""
+    masked = []
+    for item in out:
+        if isinstance(item, ClosureResult):
+            item = replace(item, stats=replace(item.stats, rounds=0))
+        else:
+            item = (item[0], replace(item[1], rounds=0), *item[2:])
+        masked.append(item)
+    return masked
+
+
+def test_one_pass_matches_full_rounds(monkeypatch):
+    """One pass over the pivots gives what the naive fixed point gives,
+    which repeats its rounds until one derives nothing: the same verdicts,
+    stats but ``rounds``, refutations with their pairings, proof text,
+    closures and alternating closures, on seeded random instances and
+    3-CNF encodings.  Equal ``generated`` counts show that the reference's
+    later rounds derive nothing.  Many reference closures need a second
+    round, and many chains find the empty set in a later level, after
+    such a round; the one-pass chains count one round per level."""
     rng = random.Random(6010)
     instances = [rand_instance(rng, max_vertices=rng.choice((8, 10, 12)),
                                max_sets=rng.choice((6, 8, 10)),
                                max_size=rng.choice((3, 4, 5)))
                  for _ in range(150)]
     instances += [_random_3cnf_instance(rng) for _ in range(30)]
-    semi_naive = [_round_outputs(b) for b in instances]
+    one_pass = [_round_outputs(b) for b in instances]
     monkeypatch.setattr(resolution, "_run_closure", full_rounds_closure)
     full = [_round_outputs(b) for b in instances]
-    assert semi_naive == full
+    assert [_without_rounds(out) for out in one_pass] == [
+        _without_rounds(out) for out in full]
     seen = {"HasS after 2+ rounds": 0, "FailsS, {} in chain round 2+": 0}
-    for out in semi_naive:
+    for ours, out in zip(one_pass, full):
+        for (_, stats, _, _), depth in zip(ours[:5], (1, 1, 1, 2, 3)):
+            assert stats.rounds <= depth
         for verdict, stats, _, _ in out[:5]:
             if verdict is Verdict.HAS_S:
                 seen["HasS after 2+ rounds"] += stats.rounds >= 2
@@ -643,48 +654,23 @@ def test_semi_naive_rounds_match_full_rounds(monkeypatch):
     assert min(seen.values()) > 10, seen
 
 
-def test_old_sets_skip_only_pruned_unions():
-    """A closure DP that marks old sets gives the full DP's finals,
-    pairings and count.  Each case is a random antichain closed once on a
-    pivot (the old sets and that DP's finals, as a closure round leaves
-    them), then given random new sets, which may evict old ones."""
+def test_closure_is_the_prime_implicates():
+    """A closure is the antichain of prime positive implicates: the minimal
+    sets that every X meets, where X meets every set of the closed family
+    and contains no pivot.  Checked against brute force for both family
+    orders, with {} as the closure exactly when no such X exists."""
     rng = random.Random(6011)
-    seen = {"old": 0, "new finals": 0, "none": 0, "3+ members": 0}
-    for _ in range(1500):
-        n = rng.randint(2, 10)
-
-        def mask(most, least=1):
-            return sum(1 << v for v in rng.sample(
-                range(n), rng.randint(least, min(most, n))))
-
-        antichain = Antichain()
-        for i in range(rng.randint(1, 12)):
-            m = mask(4)
-            if not antichain.has_subset(m):
-                antichain.add(m, ("old", i))
-        pivot = mask(4, least=2)
-        previous = resolution._pivot_resolvents(
-            antichain, pivot, Limits(), resolution._Stats(), antichain)
-        if any(m == 0 for m, _ in previous):
-            continue
-        for m, pairing in previous:
-            antichain.add(m, ("final", pairing))
-        for i in range(rng.randint(0, 5)):
-            m = rng.choice(VertexSet(pivot).members)
-            m = 1 << m | (mask(2) if rng.random() < 0.7 else 0)
-            if not antichain.has_subset(m):
-                antichain.add(m, ("new", i))
-        old = sum(ref[0] == "old" for ref in antichain.sets.values())
-        semi, full = resolution._Stats(), resolution._Stats()
-        got = resolution._pivot_resolvents(antichain, pivot, Limits(), semi,
-                                           antichain, old)
-        assert got == resolution._pivot_resolvents(
-            antichain.sets.items(), pivot, Limits(), full, antichain)
-        assert semi.generated == full.generated
-        seen["old"] += old > 0
-        seen["new finals" if got else "none"] += 1
-        seen["3+ members"] += bool(got) and pivot.bit_count() >= 3
-    assert min(seen.values()) > 100, seen
+    seen = {"HasS": 0, "FailsS": 0}
+    for _ in range(1000):
+        b = rand_instance(rng, max_vertices=7, max_sets=rng.choice((3, 5, 7)),
+                          max_size=rng.choice((2, 3, 4)), min_size=0)
+        for own, other in ((b.e_sets, b.f_sets), (b.f_sets, b.e_sets)):
+            result = closure(own, other)
+            expected = prime_implicates(b.vertex_count, own, other)
+            assert {vs.mask for vs in result.sets} == expected
+            assert result.contains_empty == (expected == {0})
+            seen["FailsS" if result.contains_empty else "HasS"] += 1
+    assert min(seen.values()) > 200, seen
 
 
 def test_cli_level_cap_exits_indeterminate(tmp_path, capsys):
@@ -855,7 +841,7 @@ def test_decide_leaves_no_reference_cycles():
 
 
 # SHA-256 of the outcomes listed by ``test_generated_proofs_are_pinned``.
-GENERATED_PROOFS_DIGEST = "b4b2a901ea7801102835d4d1b6dae80b6eb3312512a67e804512345c7c5cd6bf"
+GENERATED_PROOFS_DIGEST = "d84686c6bb593e34b06113c42a567945702f23b2d8163af37bb65ecbbb1ab3e3"
 
 
 def test_generated_proofs_are_pinned(fixtures_dir):
