@@ -23,7 +23,7 @@ from .oracle import (DEFAULT_MAX_VERTICES, UniverseTooLargeError,
                      brute_force_decide, count_s_partitions)
 from .resolution import (DEFAULT_LIMITS, Limits, Refutation, ResolutionStep,
                          ResourceLimitError, check_refutation, _parse_strategy)
-from .search import SetTooLargeError, decide, with_refutation
+from .search import _METHODS, SetTooLargeError, decide, with_refutation
 
 EXIT_HAS_S = 0
 EXIT_FAILS_S = 1
@@ -609,8 +609,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decide", help="decide an instance")
     p.add_argument("instance", help="instance file (.bhg)")
-    p.add_argument("--method", choices=("search", "resolution", "2sat", "oracle"),
-                   default="search")
+    p.add_argument("--method", choices=_METHODS, default="search")
     p.add_argument("--strategy", type=_strategy_arg, default="ef",
                    help="resolution strategy: ef, fe or alt:N")
     p.add_argument("--proof", metavar="OUT",

@@ -228,14 +228,6 @@ def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
     incomparable and contain no kept mask, so they are taken as the level's
     states as they are; the level cap still applies.
 
-    ``old`` counts the leading working sets whose resolvents on this pivot
-    alone all contain a mask of ``prune_against`` (the closure's sets from
-    before this pivot's previous DP).  The DP tracks the states reachable
-    from those sets alone, and at the last pivot member skips every pair of
-    such a state with an old set: each union skipped is pruned, so the
-    finals, their pairings and their order are those of the full DP, but the
-    level cap counts only the unions collected.
-
     Returns a list of (mask, pairing); a pairing is a tuple of (vertex,
     payload) pairs in ascending vertex order, the payload being that of the
     ``working`` set paired with the vertex.  The closure loop inserts the

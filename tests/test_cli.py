@@ -279,8 +279,8 @@ class TestDecideCommand:
 
     def test_follow_up_that_answers_has_s_raises(self, capsys, tmp_path,
                                                   unsat3, monkeypatch):
-        """--proof runs the follow-up of ``decide(proof_on_fail=True)``: a
-        resolution run that contradicts search is a fault, not a warning."""
+        """--proof runs the follow-up of ``with_refutation``: a resolution
+        run that contradicts search is a fault, not a warning."""
         monkeypatch.setattr(search, "decide_by_resolution",
                             lambda b, strategy, limits: Certificate(
                                 Verdict.HAS_S, None, "resolution"))

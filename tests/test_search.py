@@ -8,8 +8,9 @@ import pytest
 from psolve import (CnfFormula, ColoringInstance, Refutation, SdrInstance,
                     Verdict, VertexSet, brute_force_decide, build,
                     check_refutation, check_s_partition, decide, decide_2sat,
-                    from_cnf, from_graph_coloring, from_sdr, search)
-from psolve.search import SetTooLargeError, _search_witness
+                    decide_by_resolution, from_cnf, from_graph_coloring,
+                    from_sdr, search)
+from psolve.search import SetTooLargeError, _search_witness, with_refutation
 
 from helpers import (all_s_partitions, exhaustive_small_instances,
                      greatest_color_sets, greatest_cnf_assignment,
@@ -61,9 +62,10 @@ class TestDecide:
                 verdicts.add(decide(b, "2sat").verdict)
             assert len(verdicts) == 1
 
-    def test_proof_on_fail(self):
+    def test_with_refutation_backs_search_fails(self):
         b = six_clause_instance()
-        cert = decide(b, "search", proof_on_fail=True)
+        cert = with_refutation(b, decide(b, "search"))
+        assert cert.method == "search"
         assert cert.verdict is Verdict.FAILS_S
         assert isinstance(cert.witness, Refutation)
         assert check_refutation(b, cert.witness)
@@ -256,20 +258,12 @@ class TestDecide2Sat:
             if cert.verdict is Verdict.HAS_S:
                 assert check_s_partition(b, cert.witness.x_side)
 
-    def test_scc_path_matches_oracle(self, monkeypatch):
-        # Pairs only: with no singleton set nothing is forced, so every
-        # instance reaches the strongly-connected-components analysis.
-        calls = []
-        tarjan = search._tarjan_components
-
-        def counted(*args):
-            calls.append(1)
-            return tarjan(*args)
-
-        monkeypatch.setattr(search, "_tarjan_components", counted)
+    def test_pairs_only_matches_oracle_and_search(self):
+        # Pairs only and no singleton set, so nothing is forced at the root:
+        # every FailsS comes from the search.  A HasS witness is the search's.
         rng = random.Random(67)
         verdicts = set()
-        for count in range(1, 201):
+        for _ in range(200):
             n = rng.randint(2, 10)
             names = [f"v{i}" for i in range(n)]
 
@@ -278,10 +272,49 @@ class TestDecide2Sat:
 
             b = build(names, family(), family())
             cert = decide_2sat(b)
-            assert len(calls) == count
             assert cert.verdict is brute_force_decide(b).verdict
+            if cert.verdict is Verdict.HAS_S:
+                assert cert.witness == decide(b, "search").witness
             verdicts.add(cert.verdict)
         assert verdicts == {Verdict.HAS_S, Verdict.FAILS_S}
+
+    def test_matches_resolution_beyond_the_oracle(self):
+        # Resolvents of sets of at most two members have at most two
+        # members, so the ef closure stays small past the oracle's reach.
+        rng = random.Random(83)
+        verdicts = set()
+        for _ in range(500):
+            n = rng.randint(11, 40)
+            names = [f"v{i}" for i in range(n)]
+
+            def family():
+                return [rng.sample(names, rng.choice((1, 2, 2, 2, 2, 2)))
+                        for _ in range(rng.randint(n // 4, n))]
+
+            b = build(names, family(), family())
+            cert = decide_2sat(b)
+            assert cert.verdict is decide_by_resolution(b, "ef").verdict
+            verdicts.add(cert.verdict)
+        assert verdicts == {Verdict.HAS_S, Verdict.FAILS_S}
+
+    GADGETS = (
+        "from psolve import build, decide\n"
+        "gadgets = [[f'g{i}x', f'g{i}y'] for i in range(40)]\n"
+        "triangle = [['t0', 't1'], ['t1', 't2'], ['t0', 't2']]\n"
+        "names = [v for pair in gadgets for v in pair] + ['t0', 't1', 't2']\n"
+        "sets = gadgets + triangle\n"
+        "print(decide(build(names, sets, sets), 'search').verdict.value)\n"
+    )
+
+    def test_refuted_decision_ends_pairs_only_search(self):
+        """Forty one-of-two gadgets at low ids and an odd triangle at high
+        ids: the triangle refutes its first decision both ways, and a
+        search that backtracked into the gadgets would try 2^40 of them."""
+        proc = subprocess.run([sys.executable, "-c", self.GADGETS],
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "FailsS"
 
     def test_deterministic(self):
         rng = random.Random(61)
