@@ -125,7 +125,8 @@ class Antichain:
       members;
     * each member bit has an occurrence set of the kept masks containing it,
       so "which kept masks are supersets of u?" scans the shortest
-      occurrence set among u's members.
+      occurrence set among u's members, and ``occurrences`` counts the
+      kept masks that hold one vertex.
 
     The empty mask is filed nowhere: when kept it is the only mask, and
     ``sets`` answers for it.
@@ -170,6 +171,12 @@ class Antichain:
                 shortest = found
             rest ^= bit
         return [k for k in shortest if k & u == u]  # type: ignore[union-attr]
+
+    def occurrences(self, bit: int) -> int:
+        """The number of kept masks that hold the vertex whose bit is
+        ``bit`` (a single-bit mask)."""
+        found = self._occurs.get(bit)
+        return len(found) if found else 0
 
     def add(self, mask: int, payload: Any = None) -> list[int]:
         """Keep ``mask`` after its last insertion, dropping and returning

@@ -13,6 +13,7 @@ the empty set alone, and a subsumed set's derivation is freed with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 from .core import Antichain, Bihypergraph, Certificate, Verdict, VertexSet
@@ -299,6 +300,42 @@ def all_resolvents(working: Iterable[VertexSet], pivot: VertexSet,
     return tuple(sorted((VertexSet(m) for m, _ in finals), key=lambda v: v.members))
 
 
+def _member_bits(mask: int) -> list[int]:
+    """The single-bit masks of ``mask``'s members, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
+def _cheapest_first(pivots: dict[int, object], antichain: Antichain):
+    """Yield the (mask, ref) items of ``pivots``, each time the one of least
+    cost against ``antichain`` as it stands at that moment.
+
+    A pivot's cost is the product, over its members, of the number of kept
+    sets that hold the member: the number of pairings its DP could make,
+    Davis-Putnam's |pos|*|neg| estimate and SatELite's elimination cost
+    (Een & Biere 2005).  Ties go to the first in ``pivots``' order.  A pivot
+    of cost 0 has a member that no kept set holds, and never gets one, since
+    a resolvent lies inside the union of the sets it resolves: it would
+    derive nothing, so it is dropped unyielded.  Every pick recomputes the
+    costs of the pivots left.
+    """
+    occurrences = antichain.occurrences
+    left = [(dmask, dref, _member_bits(dmask)) for dmask, dref in pivots.items()]
+    while left:
+        costs = [prod(map(occurrences, bits)) for _, _, bits in left]
+        if 0 in costs:
+            left = [item for item, cost in zip(left, costs) if cost]
+            if not left:
+                return
+            costs = [cost for cost in costs if cost]
+        dmask, dref, _ = left.pop(costs.index(min(costs)))
+        yield dmask, dref
+
+
 def _run_closure(base_items: Iterable[tuple[int, object]],
                  pivot_items: Iterable[tuple[int, object]],
                  limits: Limits, stats: _Stats):
@@ -319,6 +356,12 @@ def _run_closure(base_items: Iterable[tuple[int, object]],
     the DP keeps it or a subset of it.  A kept set is only ever replaced by
     a subset of itself, so at the end every resolvent, which Phi_k implies,
     contains a kept set: a second pass would derive nothing.
+
+    The argument holds for every order of the pivots, and Phi_k and its
+    prime implicates do not depend on it, so the pivots go cheapest first
+    (``_cheapest_first``): each time, the one whose members the fewest kept
+    sets hold, by product.  The kept sets are the same under any order of
+    the input sets; the derivations, the refutations and the stats are not.
 
     Items are (mask, payload) pairs; an input set's payload is its label
     (None from ``closure``, whose refs nobody reads).  A derived set is
@@ -352,7 +395,7 @@ def _run_closure(base_items: Iterable[tuple[int, object]],
         pivots.setdefault(mask, ref)
     if pivots:
         stats.rounds += 1
-    for dmask, dref in pivots.items():
+    for dmask, dref in _cheapest_first(pivots, antichain):
         finals = _pivot_resolvents(antichain, dmask, limits, stats,
                                    prune_against=antichain)
         # No final needs a subsumption test: the DP pruned each against this

@@ -320,6 +320,18 @@ def rand_instance(rng: random.Random, max_vertices: int = 10,
     return build(names, family(), family())
 
 
+def shuffled_sets(b: Bihypergraph, rng: random.Random) -> Bihypergraph:
+    """``b`` with its E-sets and its F-sets each in a random order, every
+    set keeping its label."""
+    e = list(zip(b.e_sets, b.e_labels))
+    f = list(zip(b.f_sets, b.f_labels))
+    rng.shuffle(e)
+    rng.shuffle(f)
+    return Bihypergraph(b.names, tuple(vs for vs, _ in e),
+                        tuple(vs for vs, _ in f), tuple(lab for _, lab in e),
+                        tuple(lab for _, lab in f))
+
+
 def exhaustive_small_instances(max_vertices: int = 4, max_sets: int = 2,
                                max_size: int = 2):
     """All instances over up to max_vertices vertices whose families hold at
@@ -384,6 +396,9 @@ class LinearAntichain:
 
     def supersets(self, u: int) -> list[int]:
         return [k for k in self.sets if u & k == u]
+
+    def occurrences(self, bit: int) -> int:
+        return sum(1 for k in self.sets if k & bit)
 
     def add(self, mask: int, payload=None) -> list[int]:
         removed = self.supersets(mask)
@@ -484,7 +499,8 @@ def full_rounds_closure(base_items, pivot_items, limits, stats):
     point.  Every round resolves each pivot over all kept sets, through the
     DP's general path (a separate working family, level 1 reduced and
     pruned), until a round derives nothing, so it repeats every union of
-    the round before."""
+    the round before.  The first round takes the pivots in the engine's
+    order (``_cheapest_first``), the later rounds in input order."""
     antichain = Antichain()
 
     def insert(mask, ref):
@@ -501,18 +517,16 @@ def full_rounds_closure(base_items, pivot_items, limits, stats):
         if mask == 0:
             return antichain.sets, True
 
-    pivots = []
-    seen_pivots = set()
+    pivots = {}
     for mask, ref in pivot_items:
-        if mask not in seen_pivots:
-            seen_pivots.add(mask)
-            pivots.append((mask, ref))
+        pivots.setdefault(mask, ref)
 
     changed = bool(pivots)
+    order = resolution._cheapest_first(pivots, antichain)
     while changed:
         stats.rounds += 1
         changed = False
-        for dmask, dref in pivots:
+        for dmask, dref in order:
             finals = resolution._pivot_resolvents(
                 antichain.sets.items(), dmask, limits, stats,
                 prune_against=antichain)
@@ -521,4 +535,5 @@ def full_rounds_closure(base_items, pivot_items, limits, stats):
                 changed = True
                 if mask == 0:
                     return antichain.sets, True
+        order = pivots.items()
     return antichain.sets, False

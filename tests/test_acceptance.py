@@ -165,9 +165,11 @@ def _all_pairs_instance(rng, n, sets_per_family=None):
 
 
 def test_criterion_08_all_pairs_fast_path():
-    with criterion(8, "all-pairs implication-graph path"):
+    with criterion(8, "all-pairs search path"):
         rng = random.Random(SEED + 8)
-        # correctness sample: small instances against search and the oracle
+        # correctness sample: small instances against search and the oracle,
+        # and beyond the oracle's range against resolution, whose engine
+        # shares nothing with the all-pairs search
         for _ in range(400):
             n = rng.randint(1, 16)
             b = _all_pairs_instance(rng, n, sets_per_family=rng.randint(0, 2 * n))
@@ -175,6 +177,8 @@ def test_criterion_08_all_pairs_fast_path():
             assert cert.verdict is decide(b, "search").verdict
             if n <= 10:
                 assert cert.verdict is brute_force_decide(b).verdict
+            else:
+                assert cert.verdict is decide_by_resolution(b, "ef").verdict
         # bulk sample across the size range, witnesses revalidated
         for _ in range(480):
             n = rng.randint(17, 500)

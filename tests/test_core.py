@@ -371,8 +371,9 @@ def test_dual_formulation_agreement_random(n, data):
                 max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_antichain_matches_brute_force(kind, ops):
-    """Subset, superset and add answers against a plain list of the kept
-    masks, over random masks on 8 vertices (the empty mask included)."""
+    """Subset, superset, occurrence and add answers against a plain list of
+    the kept masks, over random masks on 8 vertices (the empty mask
+    included)."""
     chain, kept = kind(), []
     for insert, u in ops:
         has_subset = any(k & u == k for k in kept)
@@ -384,6 +385,8 @@ def test_antichain_matches_brute_force(kind, ops):
             kept = [k for k in kept if k not in supersets] + [u]
         assert list(chain.sets) == kept
         assert all(chain.sets[k] == ("payload", k) for k in kept)
+        assert [chain.occurrences(1 << v) for v in range(9)] == [
+            sum(k >> v & 1 for k in kept) for v in range(9)]
     for a in kept:
         assert not any(b != a and b & a == b for b in kept)
 

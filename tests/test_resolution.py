@@ -1,7 +1,11 @@
 import gc
 import hashlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -22,7 +26,11 @@ from helpers import (LinearAntichain, all_s_partitions,
                      grid_lists_instance, prime_implicates,
                      incremental_pivot_resolvents, level_candidate_counts,
                      naive_closure_contains_empty, rand_instance,
-                     six_clause_instance)
+                     shuffled_sets, six_clause_instance)
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _named(b, *names):
@@ -673,6 +681,70 @@ def test_closure_is_the_prime_implicates():
     assert min(seen.values()) > 200, seen
 
 
+def _order_free_outputs(b):
+    """Verdicts, closures and alternating closures of ``b``; every FailsS
+    proof is checked on the way."""
+    out = []
+    for strategy in ("ef", "fe", "alt:2", "alt:3"):
+        cert = decide_by_resolution(b, strategy)
+        if cert.witness is not None:
+            assert check_refutation(b, cert.witness), strategy
+        out.append(cert.verdict)
+    out += [closure(b.e_sets, b.f_sets).sets, closure(b.f_sets, b.e_sets).sets]
+    out += [alternating_closure(b, n, side).sets
+            for n in (1, 2, 3) for side in "EF"]
+    return out
+
+
+def test_set_order_changes_no_answer():
+    """The pivot order depends on the order of the input sets only through
+    ties, and no order changes an answer: with its E- and F-sets shuffled,
+    an instance keeps its verdicts, its closures and its alternating
+    closures, and every FailsS proof of either order checks."""
+    rng = random.Random(6012)
+    instances = [rand_instance(rng, max_vertices=rng.choice((8, 10, 12)),
+                               max_sets=rng.choice((6, 8, 10)),
+                               max_size=rng.choice((3, 4, 5)))
+                 for _ in range(450)]
+    instances += [_random_3cnf_instance(rng) for _ in range(60)]
+    seen = {"HasS": 0, "FailsS": 0, "other proof": 0}
+    for b in instances:
+        shuffled = shuffled_sets(b, rng)
+        assert _order_free_outputs(shuffled) == _order_free_outputs(b)
+        cert = decide_by_resolution(b, "ef")
+        seen[cert.verdict.value] += 1
+        if cert.witness is not None:
+            other = decide_by_resolution(shuffled, "ef").witness
+            seen["other proof"] += other != cert.witness
+    assert min(seen.values()) > 50, seen
+
+
+PIGEONHOLE_SHUFFLES = (
+    "import random\n"
+    "from psolve import (Limits, SdrInstance, check_refutation,\n"
+    "                    decide_by_resolution, from_sdr)\n"
+    "from helpers import shuffled_sets\n"
+    "holes = tuple(f'h{j}' for j in range(5))\n"
+    "pigeons = tuple(f'p{i}' for i in range(6))\n"
+    "b = from_sdr(SdrInstance(pigeons, (holes,) * 6)).bihypergraph\n"
+    "for seed in (1, 2, 3):\n"
+    "    s = shuffled_sets(b, random.Random(seed))\n"
+    "    cert = decide_by_resolution(s, 'ef', Limits(max_sets=200_000))\n"
+    "    print(cert.verdict.value, bool(check_refutation(s, cert.witness)))\n"
+)
+
+
+def test_shuffled_pigeonhole_stays_within_cap():
+    """PHP(5) under 'ef', its sets in three shuffled orders, is refuted
+    within a 200,000-set cap by a proof that checks: the cheapest pivot
+    first does not depend on the order the encoding emits."""
+    proc = subprocess.run([sys.executable, "-c", PIGEONHOLE_SHUFFLES],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": f"{SRC}{os.pathsep}{TESTS}"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["FailsS True"] * 3 + [""]
+
+
 def test_cli_level_cap_exits_indeterminate(tmp_path, capsys):
     """Four pairings of each of x, y, z, w give 10 distinct unions at the
     second pivot member but only 4 minimal ones: a cap of 8 admits the 8
@@ -841,7 +913,7 @@ def test_decide_leaves_no_reference_cycles():
 
 
 # SHA-256 of the outcomes listed by ``test_generated_proofs_are_pinned``.
-GENERATED_PROOFS_DIGEST = "d84686c6bb593e34b06113c42a567945702f23b2d8163af37bb65ecbbb1ab3e3"
+GENERATED_PROOFS_DIGEST = "14eb41cad8a8ce8c55d4d78de16fd1b8c61a65d5479611f08e7e83079f2f01a5"
 
 
 def test_generated_proofs_are_pinned(fixtures_dir):
@@ -849,7 +921,7 @@ def test_generated_proofs_are_pinned(fixtures_dir):
     pairings, are pinned by a digest of verdict, stats, every step and the
     ``.prf`` text over 300 seeded instances, 40 seeded 3-CNF encodings
     (whose unions often arise twice in one DP level) and the two ``.bhg``
-    fixtures, under 'ef', 'fe' and 'alt:2'."""
+    fixtures, under 'ef', 'fe' and 'alt:2'.  Every proof must check."""
     rng = random.Random(7011)
     instances = [_mixed_instance(rng) for _ in range(300)]
     for _ in range(40):
@@ -868,6 +940,7 @@ def test_generated_proofs_are_pinned(fixtures_dir):
             record = [cert.verdict.value, list(vars(cert.stats).values())]
             if cert.witness is not None:
                 proofs += 1
+                assert check_refutation(b, cert.witness)
                 record.append(cert.witness.mode)
                 record.extend([s.step_id, list(s.conclusion.members),
                                list(s.premises), s.pivot,
