@@ -7,12 +7,16 @@ oracle.  An E-set with all but one member placed outside X forces the last
 member in; an F-set with all but one member inside X forces the last member
 out.
 
-The search finds those sets by watching two members of each set that can
-still meet it (two watched literals, as in Chaff): assigning a vertex visits
-only the sets in which it is watched and can no longer meet, moves each
-such watch to another member that can, and forces the other watch when no
-member is left.  Watches need no repair when assignments are undone, so
-backtracking only clears the assignments on the trail.
+The search finds those sets without scanning them.  A pair lists each of its
+members as the partner of the other, under the assignment that leaves the
+other unable to meet the pair: making that assignment forces every partner
+on its list to meet its pair, and fails if one already cannot.  A longer set
+is found by watching two members that can still meet it (two watched
+literals, as in Chaff): assigning a vertex visits only the sets in which it
+is watched and can no longer meet, moves each such watch to another member
+that can, and forces the other watch when no member is left.  Neither needs
+repair when assignments are undone, so backtracking only clears the
+assignments on the trail, which is also the propagation queue.
 
 When every set has at most two members, the search stops at the first
 decision refuted both ways, as Even, Itai and Shamir's 2-SAT procedure does,
@@ -49,47 +53,62 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     ways, so its search and witness are unchanged.
     """
     n = b.vertex_count
-    assign = [-1] * n  # -1 unknown, 1 in X, 0 out
-    # A set is met by a member in X (E) or out of X (F).  Each set with two
-    # or more members keeps its two watched members at positions 0 and 1 of
-    # its member list, which is filed in watches[2*w + val] for each watch w,
-    # val being the value that leaves w unable to meet the set.
+    assign = [0] * n  # -1 unknown, 1 in X, 0 out; vertices in no set stay out
+    # A set is met by a member in X (E) or out of X (F), so giving a member
+    # w the value false_val (0 for E, 1 for F) leaves w unable to meet it;
+    # the literal 2*w + false_val names that assignment.  A pair files each
+    # member in partners under the other member's literal, which forces it
+    # to meet the pair.  A longer set keeps its two watched members at
+    # positions 0 and 1 of its member list, which is filed in watches under
+    # the literal of each watch.
+    partners: list[list[int]] = [[] for _ in range(2 * n)]
     watches: list[list[list[int]]] = [[] for _ in range(2 * n)]
     units: list[tuple[int, int]] = []
-    touched = 0
     pairs_only = True
     for false_val, family in ((0, b.e_sets), (1, b.f_sets)):
         for s in family:
             members = list(s.members)
             if not members:
                 return None  # an empty set can never be met
-            touched |= s.mask
-            if len(members) > 2:
-                pairs_only = False
+            for w in members:
+                assign[w] = -1
             if len(members) == 1:
                 units.append((members[0], 1 - false_val))
+            elif len(members) == 2:
+                u, w = members
+                partners[2 * u + false_val].append(w)
+                partners[2 * w + false_val].append(u)
             else:
+                pairs_only = False
                 watches[2 * members[0] + false_val].append(members)
                 watches[2 * members[1] + false_val].append(members)
-    for v in range(n):
-        if not (touched >> v) & 1:
-            assign[v] = 0
     trail: list[int] = []
 
     def place(v: int, val: int) -> bool:
         """Assign v and propagate to a fixed point; False on conflict.
-        Every assignment goes on the trail for unwind(), and every watch
-        list stays valid, also after a conflict."""
+        Every assignment goes on the trail for unwind(), and the trail past
+        ``head`` is the queue of assignments still to propagate.  Every
+        watch list stays valid, also after a conflict."""
         if assign[v] != -1:
             return assign[v] == val
         assign[v] = val
+        head = len(trail)
         trail.append(v)
-        queue = [v]
-        while queue:
-            v = queue.pop()
+        while head < len(trail):
+            v = trail[head]
+            head += 1
             val = assign[v]
             met = 1 - val
             lit = 2 * v + val
+            for w in partners[lit]:
+                got = assign[w]
+                if got == -1:
+                    assign[w] = met
+                    trail.append(w)
+                elif got == val:
+                    return False
+            if not watches[lit]:
+                continue
             kept: list[list[int]] = []
             sets = iter(watches[lit])
             for members in sets:
@@ -116,7 +135,6 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
                         return False
                     assign[other] = met
                     trail.append(other)
-                    queue.append(other)
             watches[lit] = kept
         return True
 
@@ -134,7 +152,8 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
         while cursor < n and assign[cursor] != -1:
             cursor += 1
         if cursor == n:
-            return VertexSet.of(v for v in range(n) if assign[v] == 1)
+            # every value is now 0 or 1: read them as binary digits
+            return VertexSet(int("0" + "".join(map(str, reversed(assign))), 2))
         decisions.append((cursor, len(trail), False))
         ok = place(cursor, 1)
         while not ok:

@@ -246,16 +246,23 @@ def coloring_search(vertices, edges, available) -> dict | None:
 
 
 def greatest_color_sets(vertices, edges, palette) -> dict | None:
-    """The color sets that the lexicographically greatest S-partition of
-    ``from_graph_coloring`` gives each vertex, or None if the graph has no
-    proper coloring.
+    """``greatest_list_color_sets`` with ``palette`` as every vertex's list,
+    for ``from_graph_coloring``."""
+    return greatest_list_color_sets(vertices, edges, [palette] * len(vertices))
 
-    There X may give a vertex several colors, but no color to both ends of
-    an edge.  The pairs (vertex, color) are decided in order, "in" whenever
-    some extension exists: the vertices with no color yet must be properly
-    colorable with colors not excluded for them and not taken by a
-    neighbour, which ``coloring_search`` decides.
+
+def greatest_list_color_sets(vertices, edges, lists) -> dict | None:
+    """The color sets that the lexicographically greatest S-partition of
+    ``from_list_coloring`` gives each vertex, or None if the graph has no
+    proper coloring from its lists.
+
+    There X may give a vertex several colors of its list, but no color to
+    both ends of an edge.  The pairs (vertex, color) are decided in order,
+    "in" whenever some extension exists: the vertices with no color yet
+    must be properly colorable with colors of their lists not excluded for
+    them and not taken by a neighbour, which ``coloring_search`` decides.
     """
+    available = dict(zip(vertices, lists))
     inside = {a: set() for a in vertices}
     excluded = {a: set() for a in vertices}
     neighbours = {a: set() for a in vertices}
@@ -265,23 +272,60 @@ def greatest_color_sets(vertices, edges, palette) -> dict | None:
 
     def extendable() -> bool:
         rest = [a for a in vertices if not inside[a]]
-        lists = [[c for c in palette if c not in excluded[a]
-                  and not any(c in inside[w] for w in neighbours[a])]
-                 for a in rest]
+        rest_lists = [[c for c in available[a] if c not in excluded[a]
+                       and not any(c in inside[w] for w in neighbours[a])]
+                      for a in rest]
         rest_edges = [(a1, a2) for a1, a2 in edges
                       if not inside[a1] and not inside[a2]]
-        return coloring_search(rest, rest_edges, lists) is not None
+        return coloring_search(rest, rest_edges, rest_lists) is not None
 
     if not extendable():
         return None
     for a in vertices:
-        for c in palette:
+        for c in available[a]:
             if not any(c in inside[w] for w in neighbours[a]):
                 inside[a].add(c)
                 if extendable():
                     continue
                 inside[a].discard(c)
             excluded[a].add(c)
+    return inside
+
+
+def greatest_sdr_sets(labels, families) -> dict | None:
+    """The elements that the lexicographically greatest S-partition of
+    ``from_sdr`` gives each index, or None if the family has no system of
+    distinct representatives.
+
+    There X may give an index several of its elements, but no element to
+    two indices.  The pairs (element, index) are decided in order, "in"
+    whenever some extension exists: the indices with no element yet must
+    have distinct representatives among their elements not excluded for
+    them and not taken by another index, which ``sdr_search`` decides.
+    """
+    inside = {label: set() for label in labels}
+    excluded = {label: set() for label in labels}
+
+    def taken(elem, label) -> bool:
+        return any(elem in inside[other] for other in labels if other != label)
+
+    def extendable() -> bool:
+        rest = [label for label in labels if not inside[label]]
+        return sdr_search(rest, [[e for e in elems if e not in excluded[label]
+                                  and not taken(e, label)]
+                                 for label, elems in zip(labels, families)
+                                 if not inside[label]]) is not None
+
+    if not extendable():
+        return None
+    for label, elems in zip(labels, families):
+        for e in elems:
+            if not taken(e, label):
+                inside[label].add(e)
+                if extendable():
+                    continue
+                inside[label].discard(e)
+            excluded[label].add(e)
     return inside
 
 

@@ -9,12 +9,13 @@ from psolve import (CnfFormula, ColoringInstance, Refutation, SdrInstance,
                     Verdict, VertexSet, brute_force_decide, build,
                     check_refutation, check_s_partition, decide, decide_2sat,
                     decide_by_resolution, from_cnf, from_graph_coloring,
-                    from_sdr, search)
+                    from_list_coloring, from_sdr, search)
 from psolve.search import SetTooLargeError, _search_witness, with_refutation
 
 from helpers import (all_s_partitions, exhaustive_small_instances,
-                     greatest_color_sets, greatest_cnf_assignment,
-                     rand_instance, reference_search_witness,
+                     greatest_cnf_assignment, greatest_color_sets,
+                     greatest_list_color_sets, greatest_sdr_sets,
+                     rand_instance, reference_search_witness, shuffled_sets,
                      six_clause_instance)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -159,13 +160,32 @@ class TestSearchWitness:
                 assert expected is None
 
 
+def _mask(x: VertexSet | None) -> int | None:
+    return None if x is None else x.mask
+
+
+def _witness_everywhere(b, rng, shuffles: int = 3) -> int | None:
+    """The search's witness mask, after checking that it is the same on
+    ``shuffles`` seeded reorderings of the sets, which file the partner and
+    watch lists in other orders, and equal to ``reference_search_witness``
+    when ``b`` is small enough for it."""
+    x = _mask(_search_witness(b))
+    for _ in range(shuffles):
+        assert _mask(_search_witness(shuffled_sets(b, rng))) == x
+    if b.vertex_count <= 14:
+        assert x == reference_search_witness(b)
+    return x
+
+
 class TestDeepBacktracking:
     """Instances on which the search backtracks often (about a hundred
-    times per formula), so that watch lists are reordered and kept across
-    many backtracks.  Each is checked against a plain backtracking search
-    in its own domain, which finds the greatest S-partition far sooner than
-    ``reference_search_witness``, and by the domain's own test of the
-    witness."""
+    times per formula), so that watch lists are reordered and partner lists
+    are read across many backtracks, and instances made mostly of pairs,
+    which propagate through partner lists alone.  Each is checked against a
+    plain backtracking search in its own domain, which finds the greatest
+    S-partition far sooner than ``reference_search_witness``, and by the
+    domain's own test of the witness; bare pair instances are checked
+    against the oracle and ``reference_search_witness``."""
 
     def test_random_3cnf(self):
         rng = random.Random(73)
@@ -219,6 +239,145 @@ class TestDeepBacktracking:
         instance = SdrInstance(tuple(f"p{i}" for i in range(6)), (holes,) * 6)
         cert = decide(from_sdr(instance).bihypergraph, method="search")
         assert cert.verdict is Verdict.FAILS_S
+
+    @staticmethod
+    def _check_sdr(labels, families, rng) -> bool:
+        enc = from_sdr(SdrInstance(labels, families))
+        b = enc.bihypergraph
+        x = _witness_everywhere(b, rng)
+        expected = greatest_sdr_sets(labels, families)
+        if expected is None:
+            assert x is None
+            return False
+        x = VertexSet(x)
+        assert {label: {e for e in elems if b.id_of(f"{e}@{label}") in x}
+                for label, elems in zip(labels, families)} == expected
+        chosen = enc.representatives_from_partition(x)
+        assert len(set(chosen.values())) == len(labels)
+        return True
+
+    def test_pigeonhole_pairs(self):
+        # PHP(4) and PHP(5) via from_sdr: one E-set per pigeon, all else
+        # F-pairs, as encoded and with their sets shuffled; with as many
+        # holes as pigeons, or more, they have property S.
+        rng = random.Random(89)
+        verdicts = set()
+        for pigeons, holes in ((5, 4), (6, 5), (4, 4), (5, 5), (3, 4),
+                               (4, 5), (3, 3), (2, 3)):
+            labels = tuple(f"p{i}" for i in range(pigeons))
+            families = (tuple(f"h{j}" for j in range(holes)),) * pigeons
+            verdicts.add(self._check_sdr(labels, families, rng))
+        assert verdicts == {True, False}
+
+    def test_random_sdr_families(self):
+        # Lists of one to four elements: unit E-sets, E-pairs, F-pairs.
+        rng = random.Random(97)
+        verdicts = set()
+        for _ in range(40):
+            elements = [f"e{j}" for j in range(rng.randint(3, 6))]
+            labels = tuple(f"s{i}" for i in range(rng.randint(3, 6)))
+            families = tuple(
+                tuple(rng.sample(elements, rng.randint(1, min(4, len(elements)))))
+                for _ in labels)
+            verdicts.add(self._check_sdr(labels, families, rng))
+        assert verdicts == {True, False}
+
+    def test_list_coloring_grids_and_odd_cycles(self):
+        # One E-set per graph vertex, of one to three colours, and F-pairs
+        # along the edges.
+        rng = random.Random(101)
+        palette = ("r", "g", "b")
+        graphs = []
+        for length in (3, 5, 7, 9, 11):
+            cycle = [f"c{i}" for i in range(length)]
+            edges = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+            pair = tuple(rng.sample(palette, 2))
+            graphs.append((cycle, edges, [pair] * length))
+            graphs.append((cycle, edges, [pair] * (length - 1) + [palette]))
+            graphs.append((cycle, edges, [tuple(rng.sample(palette, 2))
+                                          for _ in cycle]))
+        for rows, cols in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5)):
+            grid = [f"v{r}_{c}" for r in range(rows) for c in range(cols)]
+            edges = ([(f"v{r}_{c}", f"v{r}_{c + 1}")
+                      for r in range(rows) for c in range(cols - 1)]
+                     + [(f"v{r}_{c}", f"v{r + 1}_{c}")
+                        for r in range(rows - 1) for c in range(cols)])
+            for _ in range(4):
+                graphs.append((grid, edges,
+                               [tuple(rng.sample(palette, rng.choice((1, 2, 2, 2, 3))))
+                                for _ in grid]))
+        verdicts = set()
+        for vertices, edges, lists in graphs:
+            enc = from_list_coloring(ColoringInstance(tuple(vertices), tuple(edges),
+                                                      lists=tuple(lists)))
+            b = enc.bihypergraph
+            x = _witness_everywhere(b, rng)
+            expected = greatest_list_color_sets(vertices, edges, lists)
+            verdicts.add(expected is not None)
+            if expected is None:
+                assert x is None
+                continue
+            x = VertexSet(x)
+            assert expected == {a: {c for c in colors if b.id_of(f"{a}@{c}") in x}
+                                for a, colors in zip(vertices, lists)}
+            coloring = enc.coloring_from_partition(x)
+            assert all(coloring[a1] != coloring[a2] for a1, a2 in edges)
+        assert verdicts == {True, False}
+
+    def test_cnf_with_unit_and_repeated_clauses(self):
+        # Mostly two-literal clauses, some unit clauses, and clauses given
+        # more than once; from_cnf adds an F-pair per variable.
+        rng = random.Random(103)
+        verdicts = set()
+        for _ in range(30):
+            n = rng.randint(12, 22)
+            clauses = [tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1),
+                                                 rng.choice((1, 2, 2, 2, 2, 3, 3))))
+                       for _ in range(rng.randint(n, 2 * n))]
+            clauses += rng.sample(clauses, len(clauses) // 4)
+            rng.shuffle(clauses)
+            formula = CnfFormula(n, tuple(clauses))
+            enc = from_cnf(formula)
+            x = _witness_everywhere(enc.bihypergraph, rng)
+            expected = greatest_cnf_assignment(formula)
+            verdicts.add(expected is not None)
+            if expected is None:
+                assert x is None
+            else:
+                assert VertexSet(x) == enc.partition_from_assignment(expected)
+        assert verdicts == {True, False}
+
+    def test_pairs_in_both_families_and_repeated(self):
+        # A pair that is both an E-set and an F-set puts exactly one member
+        # in X; a pair given twice is filed twice.
+        b = build(["a", "b"], [["a", "b"], ["a", "b"]], [["b", "a"]])
+        assert _search_witness(b) == b.set_of_names(["a"])
+        rng = random.Random(107)
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            names = [f"v{i}" for i in range(n)]
+            e_sets, f_sets = [], []
+            for _ in range(rng.randint(1, 2 * n)):
+                pair = rng.sample(names, 2)
+                roll = rng.random()
+                if roll < 0.3:
+                    e_sets.append(pair)
+                    f_sets.append(pair[::-1])
+                elif roll < 0.45:
+                    (e_sets if rng.random() < 0.5 else f_sets).extend((pair, pair))
+                else:
+                    (e_sets if rng.random() < 0.5 else f_sets).append(pair)
+            if rng.random() < 0.3:
+                (e_sets if rng.random() < 0.5 else f_sets).append(rng.sample(names, 1))
+            if rng.random() < 0.2 and n >= 3:
+                (e_sets if rng.random() < 0.5 else f_sets).append(rng.sample(names, 3))
+            b = build(names, e_sets, f_sets)
+            x = _witness_everywhere(b, rng, shuffles=1)
+            assert (x is not None) is (brute_force_decide(b).verdict is Verdict.HAS_S)
+            verdicts.add(x is not None)
+        assert verdicts == {True, False}
 
 
 class TestDecide2Sat:
@@ -315,6 +474,50 @@ class TestDecide2Sat:
                               env={"PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "FailsS"
+
+    def test_refuted_decision_with_a_triple_backtracks(self):
+        """Pairs and one F-set of three members.  With a in X, both values
+        of v force x and y into X, which the triple {a, x, y} forbids, so
+        the decision on v is refuted both ways; yet a out of X leaves a
+        witness.  The all-pairs exit is for instances whose sets all have
+        at most two members, so the search backtracks past v and returns
+        the greatest witness."""
+        gadgets = [[f"g{i}x", f"g{i}y"] for i in range(20)]
+        names = ["a", "v", "p", "x", "y"] + [w for pair in gadgets for w in pair]
+        e_sets = [["v", "x"], ["v", "y"], ["p", "x"], ["p", "y"]] + gadgets
+        f_sets = [["v", "p"], ["a", "x", "y"]] + gadgets
+        b = build(names, e_sets, f_sets)
+        assert _search_witness(build(names, e_sets + [["a"]], f_sets)) is None
+        expected = b.set_of_names(["v", "x", "y"] + [x for x, _ in gadgets])
+        assert _search_witness(b) == expected
+        assert expected.mask == reference_search_witness(b)
+        assert decide(b, "search").witness.x_side == expected
+        with pytest.raises(SetTooLargeError):
+            decide_2sat(b)
+
+    def test_pairs_and_one_triple_match_reference(self):
+        # Random pairs on v1.. whose every model puts x and y in X, and the
+        # F-set {v0, x, y}.  The search decides v0 in X first, and the pairs
+        # then refute some later decision both ways, so it must backtrack to
+        # v0 and find the greatest witness, which leaves v0 out.
+        rng = random.Random(109)
+        made = 0
+        while made < 60:
+            n = rng.randint(4, 12)
+            names = [f"v{i}" for i in range(n)]
+            e_sets = [rng.sample(names[1:], 2) for _ in range(rng.randint(1, n))]
+            f_sets = [rng.sample(names[1:], 2) for _ in range(rng.randint(1, n))]
+            models = all_s_partitions(build(names, e_sets, f_sets))
+            backbone = sorted(set.intersection(*map(set, models))) if models else []
+            if len(backbone) < 2:
+                continue
+            made += 1
+            f_sets.append(["v0"] + [names[v] for v in rng.sample(backbone, 2)])
+            b = build(names, e_sets, f_sets)
+            assert reference_search_witness(build(names, e_sets + [["v0"]], f_sets)) is None
+            expected = reference_search_witness(b)
+            assert expected is not None
+            assert _mask(_search_witness(b)) == expected
 
     def test_deterministic(self):
         rng = random.Random(61)
