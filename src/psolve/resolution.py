@@ -31,9 +31,10 @@ class Limits:
     """Caps on closure work, nonnegative.
 
     ``max_sets`` caps the kept sets of a closure and also the distinct
-    candidate unions collected at one level of a pivot's union DP, before
-    they are reduced.  There is no separate fan-out cap and no work or time
-    budget.
+    unions that one level of a pivot's union DP forms, before they are
+    reduced; a state that holds one of the member's contributions forms
+    only itself (see ``_pivot_resolvents``).  There is no separate fan-out
+    cap and no work or time budget.
     """
 
     max_sets: int = 1_000_000
@@ -157,21 +158,22 @@ class _Stats:
         return ClosureStats(self.generated, self.kept, self.subsumed, self.rounds)
 
 
-def _minimal_masks(masks: Iterable[int]) -> set[int]:
-    """The subset-minimal members of a nonempty collection of distinct masks.
+def _minimal_masks(masks: Iterable[int], known: set[int]) -> set[int]:
+    """The subset-minimal members of a collection of distinct masks, given
+    ``known``, members already known to be minimal among them all.
 
-    Visits them by size, so no later mask is a subset of a kept one and
-    nothing kept is ever evicted: a mask is kept iff no kept mask is a
-    subset of it.  The kept masks are filed in plain lists under their
-    lowest member.  The empty mask, which every mask contains, ends the
-    pass at once.
+    The known masks are kept and filed with no subset scan.  The others are
+    visited by size, so no later mask is a subset of a kept one and nothing
+    kept is ever evicted: a mask is kept iff no kept mask is a subset of it.
+    The kept masks are filed in plain lists under their lowest member, so
+    the masks must be nonempty.  The union DP forms the empty mask only as
+    an absorbed state ``0``, its level's only state, and then makes no call.
     """
-    order = sorted(masks, key=int.bit_count)
-    if not order[0]:
-        return {0}
     by_low: dict[int, list[int]] = {}
-    kept: set[int] = set()
-    for u in order:
+    kept = set(known)
+    for u in known:
+        by_low.setdefault(u & -u, []).append(u)
+    for u in sorted((u for u in masks if u not in known), key=int.bit_count):
         rest = u
         while rest:
             bit = rest & -rest
@@ -207,21 +209,34 @@ def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
     enumeration is exponential in the pivot size.  Each level is one batch
     pass over its pivot member:
 
-    1. Collect every union ``s | cm`` of a state and a contribution, in
-       generation order, into a dict; each keeps the payload
-       ``(s, v, ref)`` of its first occurrence.  More than
-       ``limits.max_sets`` distinct candidates raise ``ResourceLimitError``.
-    2. Keep the subset-minimal candidates (``_minimal_masks``).
-    3. Drop those that are supersets of a mask of ``prune_against``.
-    4. The level's states are the kept candidates in first-occurrence
+    1. A state ``s`` that holds some contribution ``cm``, so that
+       ``s | cm == s``, is absorbed: it goes into the candidate dict once,
+       with the payload ``(s, v, ref)`` of its first such contribution,
+       and forms none of its other unions.
+    2. Every other state's unions ``s | cm`` go into the dict in
+       generation order; each keeps the payload ``(s, v, ref)`` of its
+       first occurrence.  More than ``limits.max_sets`` distinct unions
+       formed raise ``ResourceLimitError``; the count is checked after
+       each state.
+    3. Keep the subset-minimal candidates (``_minimal_masks``, told that
+       the absorbed states are minimal; it is skipped when every state is
+       absorbed).
+    4. Drop those that are supersets of a mask of ``prune_against``.  An
+       absorbed state passed that test at the previous level and takes it
+       only at level 0, where the state ``0`` has taken none.
+    5. The level's states are the kept candidates in first-occurrence
        order, each with its first payload; the candidate dict is dropped.
 
-    This is exactly what feeding the candidates one by one through an
+    This is exactly what feeding every union one by one through an
     antichain gives.  A dominated candidate stays dominated, so that
     antichain ends with the minimal candidates, each inserted at its first
-    occurrence with that occurrence's pairing.  And the prune is upward
-    closed, so pruning the minimal candidates keeps the same set as taking
-    the minimal members of the unpruned ones.
+    occurrence with that occurrence's pairing.  The states are an
+    antichain, so a union ``t | cm`` inside an absorbed state ``s`` has
+    ``t`` inside ``s``, so ``t == s``: ``s`` is minimal, occurs first at
+    its own first contribution inside it, and dominates all its other
+    unions, which are thus never formed.  And the prune is upward closed,
+    so pruning the minimal candidates keeps the same set as taking the
+    minimal members of the unpruned ones.
 
     ``working`` is any family of (mask, payload) pairs, or the
     ``Antichain`` that is also ``prune_against``: the closure's own call.
@@ -253,19 +268,27 @@ def _pivot_resolvents(working: Iterable[tuple[int, object]] | Antichain,
             states = {cm: (0, v, ref) for cm, ref in choices}
         else:
             candidates: dict[int, tuple] = {}
+            absorbed: set[int] = set()
             for s in states:
                 for cm, ref in choices:
-                    u = s | cm
-                    if u not in candidates:
-                        candidates[u] = (s, v, ref)
+                    if s | cm == s:
+                        candidates[s] = (s, v, ref)
+                        absorbed.add(s)
+                        break
+                else:
+                    for cm, ref in choices:
+                        u = s | cm
+                        if u not in candidates:
+                            candidates[u] = (s, v, ref)
                 if len(candidates) > limits.max_sets:
                     raise ResourceLimitError(
                         f"pivot fan-out exceeded max_sets={limits.max_sets}")
-            if not candidates:
-                return []
-            keep = _minimal_masks(candidates)
+            keep = (absorbed if len(absorbed) == len(candidates)
+                    else _minimal_masks(candidates, absorbed))
+            passed = absorbed if i else ()
             states = {u: payload for u, payload in candidates.items()
-                      if u in keep and (pruned is None or not pruned(u))}
+                      if u in keep and (u in passed or pruned is None
+                                        or not pruned(u))}
             del candidates
         if not states:
             return []

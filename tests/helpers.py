@@ -141,11 +141,15 @@ def unreduced_resolvents(masks: set[int], pivot: int) -> set[int]:
     return states
 
 
-def level_candidate_counts(masks, pivot: int, prune=()) -> list[int]:
-    """The number of distinct candidate unions at each level of the
-    reduced union DP on one pivot, by plain sets: a level keeps the minimal
-    candidates that contain no mask of ``prune``, and the DP stops at a
-    pivot member no mask contains or at a level with nothing kept."""
+def level_candidate_counts(masks, pivot: int,
+                           prune=()) -> list[tuple[int, int]]:
+    """For each level of the reduced union DP on one pivot, by plain sets:
+    the number of distinct unions the level forms and the number of its
+    absorbed states.  A state is absorbed when some contribution is a
+    subset of it; it then forms only itself.  Every other state forms its
+    union with each contribution.  A level keeps the minimal unions that
+    contain no mask of ``prune``, and the DP stops at a pivot member no mask
+    contains or at a level with nothing kept."""
     counts = []
     states = {0}
     for v in _pivot_bits(pivot):
@@ -153,8 +157,10 @@ def level_candidate_counts(masks, pivot: int, prune=()) -> list[int]:
         choices = {m & ~bit for m in masks if m & bit}
         if not choices:
             break
-        candidates = {s | c for s in states for c in choices}
-        counts.append(len(candidates))
+        absorbed = {s for s in states if any(c & s == c for c in choices)}
+        candidates = absorbed | {s | c for s in states - absorbed
+                                 for c in choices}
+        counts.append((len(candidates), len(absorbed)))
         states = {u for u in candidates
                   if not any(w != u and w & u == w for w in candidates)
                   and not any(p & u == p for p in prune)}

@@ -489,10 +489,15 @@ def test_batch_levels_match_incremental_antichain():
     feeding its candidates one by one through an antichain gives: the same
     resolvents in the same order, with the same pairings and count."""
     rng = random.Random(6006)
-    seen = {"finals": 0, "empty": 0, "unmet": 0, "pruned away": 0}
+    seen = {"finals": 0, "empty": 0, "unmet": 0, "pruned away": 0,
+            "absorbed": 0}
     for _ in range(2500):
         working, pivot, prune = _random_dp_case(rng)
         for prune_against in (None, prune):
+            levels = level_candidate_counts(
+                [m for m, _ in working], pivot,
+                list(prune_against.sets) if prune_against else ())
+            seen["absorbed"] += sum(1 for _, count in levels[1:] if count)
             batch, incremental = resolution._Stats(), resolution._Stats()
             got = resolution._pivot_resolvents(working, pivot, Limits(), batch,
                                                prune_against)
@@ -507,11 +512,23 @@ def test_batch_levels_match_incremental_antichain():
                             for v in VertexSet(pivot).members)
                 seen["unmet" if unmet else "pruned away"] += 1
     assert all(count > 50 for count in seen.values()), seen
+    # A call that does not own its prune: the set {v} absorbs state 0 at
+    # level 0, and that state has taken no prune test yet.
+    holds_empty = Antichain()
+    holds_empty.add(0)
+    for v in range(3):
+        working = [(1 << v, ("W", 0))]
+        assert resolution._pivot_resolvents(working, 1 << v, Limits(),
+                                            resolution._Stats()) == [
+            (0, ((v, ("W", 0)),))]
+        assert resolution._pivot_resolvents(working, 1 << v, Limits(),
+                                            resolution._Stats(),
+                                            holds_empty) == []
 
 
-def test_level_cap_counts_distinct_candidates():
-    """``max_sets`` caps the distinct candidate unions of each DP level,
-    dominated and pruned ones included."""
+def test_level_cap_counts_formed_unions():
+    """``max_sets`` caps the distinct unions each DP level forms, dominated
+    and pruned ones included; an absorbed state forms only itself."""
     rng = random.Random(6007)
     capped = 0
     for _ in range(600):
@@ -520,7 +537,7 @@ def test_level_cap_counts_distinct_candidates():
         counts = level_candidate_counts(masks, pivot, list(prune.sets))
         if not counts:
             continue
-        widest = max(counts)
+        widest = max(formed for formed, _ in counts)
         unlimited = resolution._pivot_resolvents(working, pivot, Limits(),
                                                  resolution._Stats(), prune)
         assert resolution._pivot_resolvents(
@@ -727,31 +744,34 @@ PIGEONHOLE_SHUFFLES = (
     "holes = tuple(f'h{j}' for j in range(5))\n"
     "pigeons = tuple(f'p{i}' for i in range(6))\n"
     "b = from_sdr(SdrInstance(pigeons, (holes,) * 6)).bihypergraph\n"
-    "for seed in (1, 2, 3):\n"
-    "    s = shuffled_sets(b, random.Random(seed))\n"
-    "    cert = decide_by_resolution(s, 'ef', Limits(max_sets=200_000))\n"
+    "runs = [('ef', seed) for seed in (1, 2, 3)] + [('fe', None), ('fe', 1)]\n"
+    "for strategy, seed in runs:\n"
+    "    s = b if seed is None else shuffled_sets(b, random.Random(seed))\n"
+    "    cert = decide_by_resolution(s, strategy, Limits(max_sets=200_000))\n"
     "    print(cert.verdict.value, bool(check_refutation(s, cert.witness)))\n"
 )
 
 
 def test_shuffled_pigeonhole_stays_within_cap():
-    """PHP(5) under 'ef', its sets in three shuffled orders, is refuted
-    within a 200,000-set cap by a proof that checks: the cheapest pivot
-    first does not depend on the order the encoding emits."""
+    """PHP(5) is refuted within a 200,000-set cap by a proof that checks:
+    under 'ef' with its sets in three shuffled orders, since the cheapest
+    pivot first does not depend on the order the encoding emits, and under
+    'fe' as encoded and shuffled once, since a union DP state that holds a
+    contribution of the member forms no other union."""
     proc = subprocess.run([sys.executable, "-c", PIGEONHOLE_SHUFFLES],
                           capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": f"{SRC}{os.pathsep}{TESTS}"})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["FailsS True"] * 3 + [""]
+    assert proc.stdout.split("\n") == ["FailsS True"] * 5 + [""]
 
 
 def test_cli_level_cap_exits_indeterminate(tmp_path, capsys):
-    """Four pairings of each of x, y, z, w give 10 distinct unions at the
-    second pivot member but only 4 minimal ones: a cap of 8 admits the 8
-    input sets and stops that level."""
+    """Four contributions x, y, z, w of a and four p, q, r, s of b, disjoint
+    from them, give 16 distinct unions at the second pivot member, no state
+    absorbed: a cap of 8 admits the 8 input sets and stops that level."""
     path = tmp_path / "fan.bhg"
     path.write_text("e a x\ne a y\ne a z\ne a w\n"
-                    "e b x\ne b y\ne b z\ne b w\nf a b\n")
+                    "e b p\ne b q\ne b r\ne b s\nf a b\n")
     code = main(["decide", str(path), "--method", "resolution",
                  "--max-sets", "8", "--json"])
     out = capsys.readouterr().out
