@@ -461,22 +461,22 @@ def _alternating_items(b: Bihypergraph, n: int, side: str, limits: Limits,
 
     Level 1 resolves on input sets (``_run_closure`` drops repeated pivot
     masks), so level 0 is computed, and counted in ``stats``, only when it
-    is the level asked for.  The levels run bottom up in a loop; a
-    self-calling nested function would be a reference cycle holding every
-    level's sets until the cyclic collector runs.
+    is the level asked for.  Every level k >= 2 runs as level 2: level 1
+    from the other side, C, then the side closed over C.  A complete C is
+    the minimal sets inside no X that meets the side's sets and holds none
+    of the other's (``_run_closure``); each of those holds a set of C, so
+    these X are exactly those that meet the side's sets and hold none of C.
+    So closing over C is level 1 again, and by induction so is level k.  A
+    C that holds {} is {} alone, and its empty pivot derives {} again.
 
     Returns (antichain, contains_empty) of the requested level.
     """
-    if n == 0:
-        return _run_closure(_family_items(b, side), (), limits, stats)
-    flip = {"E": "F", "F": "E"}
-    s = side if n % 2 else flip[side]
-    pivots: Iterable[tuple[int, object]] = _family_items(b, flip[s])
-    for _ in range(n):
-        antichain, has_empty = _run_closure(_family_items(b, s), pivots,
-                                            limits, stats)
-        pivots, s = antichain.items(), flip[s]
-    return antichain, has_empty
+    other = "F" if side == "E" else "E"
+    pivots: Iterable[tuple[int, object]] = _family_items(b, other) if n else ()
+    if n > 1:
+        antichain, _ = _run_closure(pivots, _family_items(b, side), limits, stats)
+        pivots = antichain.items()
+    return _run_closure(_family_items(b, side), pivots, limits, stats)
 
 
 def alternating_closure(b: Bihypergraph, n: int, side: str = "E",
@@ -485,8 +485,8 @@ def alternating_closure(b: Bihypergraph, n: int, side: str = "E",
 
     side='E' computes the chain whose level 1 closes E over the input
     F-sets and whose level k closes E over the level k-1 closure of F, and
-    symmetrically for side='F'.  n=0 returns the subsumption-reduced base
-    family itself; from n=1 on, the stats count no level-0 pass.
+    symmetrically for side='F'.  n=0 returns the reduced base family; each
+    n >= 1 gives level 1's sets, its stats counting no level-0 pass.
     """
     if side not in ("E", "F"):
         raise ValueError("side must be 'E' or 'F'")
@@ -562,9 +562,9 @@ def decide_by_resolution(b: Bihypergraph, strategy: str = "ef",
     The strategy names a proof mode, whose rule (``_parse_mode``) fixes the
     alternating chain: 'ef' runs its depth-1 level from E (E closed over the
     input F-sets), 'fe' its depth-1 level from F, and 'alt:N' its depth-N
-    level from E.  A fixed point without the empty set certifies HasS;
-    otherwise the empty set's derivation is unwound into a Refutation, or,
-    when the empty set is an input set, FailsS has no derivation.
+    level from E: 'ef''s verdict, by proofs of depth <= 2.  A fixed point
+    without {} certifies HasS; otherwise {}'s derivation is unwound into a
+    Refutation, or, when {} is an input set, FailsS has no derivation.
     """
     limits = limits or DEFAULT_LIMITS
     mode = _parse_strategy(strategy)

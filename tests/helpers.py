@@ -524,6 +524,29 @@ def direct_closure_certificate(b: Bihypergraph, side: str, limits=None):
     return Certificate(Verdict.FAILS_S, witness, "resolution", stats.freeze())
 
 
+def reference_alternating_closure(b: Bihypergraph, n: int, side: str,
+                                  limits=None):
+    """Reference for ``psolve.alternating_closure(b, n, side)``: the chain
+    run level by level, as it ran before every level k >= 2 became level
+    2.  Level 1 closes the side of n's parity over the other family's input
+    sets, and each further level closes the other side over the level
+    before, so level n closes ``side``.  It reuses the closure engine on
+    purpose: what it pins is the chain around it."""
+    limits = limits or resolution.DEFAULT_LIMITS
+    stats = resolution._Stats()
+    if n == 0:
+        return resolution._closure_result(*resolution._run_closure(
+            resolution._family_items(b, side), (), limits, stats), stats)
+    flip = {"E": "F", "F": "E"}
+    s = side if n % 2 else flip[side]
+    pivots = resolution._family_items(b, flip[s])
+    for _ in range(n):
+        antichain, has_empty = resolution._run_closure(
+            resolution._family_items(b, s), pivots, limits, stats)
+        pivots, s = antichain.items(), flip[s]
+    return resolution._closure_result(antichain, has_empty, stats)
+
+
 def prime_implicates(n: int, a_family, d_family) -> set[int]:
     """Reference for ``psolve.resolution.closure(a_family, d_family)``, by
     brute force over all 2^n vertex sets: the subset-minimal masks S that

@@ -26,7 +26,8 @@ from helpers import (LinearAntichain, all_s_partitions,
                      grid_lists_instance, prime_implicates,
                      incremental_pivot_resolvents, level_candidate_counts,
                      naive_closure_contains_empty, rand_instance,
-                     shuffled_sets, six_clause_instance)
+                     reference_alternating_closure, shuffled_sets,
+                     six_clause_instance)
 
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -655,7 +656,8 @@ def test_one_pass_matches_full_rounds(monkeypatch):
     3-CNF encodings.  Equal ``generated`` counts show that the reference's
     later rounds derive nothing.  Many reference closures need a second
     round, and many chains find the empty set in a later level, after
-    such a round; the one-pass chains count one round per level."""
+    such a round; the one-pass chains count one round per level, and
+    'alt:3' runs two levels, as 'alt:2' does."""
     rng = random.Random(6010)
     instances = [rand_instance(rng, max_vertices=rng.choice((8, 10, 12)),
                                max_sets=rng.choice((6, 8, 10)),
@@ -669,7 +671,7 @@ def test_one_pass_matches_full_rounds(monkeypatch):
         _without_rounds(out) for out in full]
     seen = {"HasS after 2+ rounds": 0, "FailsS, {} in chain round 2+": 0}
     for ours, out in zip(one_pass, full):
-        for (_, stats, _, _), depth in zip(ours[:5], (1, 1, 1, 2, 3)):
+        for (_, stats, _, _), depth in zip(ours[:5], (1, 1, 1, 2, 2)):
             assert stats.rounds <= depth
         for verdict, stats, _, _ in out[:5]:
             if verdict is Verdict.HAS_S:
@@ -826,6 +828,70 @@ def test_ef_fe_are_the_direct_closures():
             own, other = ((b.e_sets, b.f_sets) if side == "E"
                           else (b.f_sets, b.e_sets))
             assert alternating_closure(b, 1, side) == closure(own, other)
+    assert min(seen.values()) > 50, seen
+
+
+def test_alternating_chain_is_two_closures():
+    """Every level k >= 1 of the alternating chain from a side is that
+    side's prime-implicate antichain, so every depth n >= 2 runs as two
+    closures.  For n = 2..5 and both sides, on seeded random instances
+    (empty, repeated and nested sets among them) and 3-CNF encodings,
+    ``alternating_closure`` returns the sets and ``contains_empty`` of the
+    chain run level by level, which are level 1's, and the stats of n = 2.
+    For n <= 2 it is that chain's result in full, stats included."""
+    rng = random.Random(6013)
+    instances = [_mixed_instance(rng) for _ in range(150)]
+    instances += [_random_3cnf_instance(rng) for _ in range(40)]
+    seen = {"HasS": 0, "FailsS": 0, "fewer kept than level by level": 0}
+    for b in instances:
+        for side in "EF":
+            for n in (0, 1, 2):
+                assert (alternating_closure(b, n, side)
+                        == reference_alternating_closure(b, n, side))
+            level1 = alternating_closure(b, 1, side)
+            level2 = alternating_closure(b, 2, side)
+            for n in range(2, 6):
+                got = alternating_closure(b, n, side)
+                ref = reference_alternating_closure(b, n, side)
+                assert got.sets == ref.sets == level1.sets
+                assert got.contains_empty == ref.contains_empty
+                assert got.contains_empty == level1.contains_empty
+                assert got.stats == level2.stats
+                seen["fewer kept than level by level"] += (
+                    got.stats.kept < ref.stats.kept)
+            seen["FailsS" if level1.contains_empty else "HasS"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_deep_alternating_proofs_have_depth_two(fixtures_dir):
+    """'alt:3' and 'alt:5' give the verdict of 'ef' and run the chain of
+    'alt:2': the same stats and proof steps, under their own mode.  Every
+    FailsS proof checks under 'alternating N' and also under 'alternating
+    2', so its final step has depth at most 2; many need that depth."""
+    rng = random.Random(6014)
+    instances = [_mixed_instance(rng) for _ in range(300)]
+    instances += [_random_3cnf_instance(rng) for _ in range(40)]
+    instances += [parse_instance_text((fixtures_dir / name).read_text())
+                  for name in ("unsat3.bhg", "grid_lists.bhg")]
+    seen = {"HasS": 0, "FailsS": 0, "depth 2": 0}
+    for b in instances:
+        verdict = decide_by_resolution(b, "ef").verdict
+        alt2 = decide_by_resolution(b, "alt:2")
+        seen[verdict.value] += 1
+        for n in (3, 5):
+            cert = decide_by_resolution(b, f"alt:{n}")
+            assert cert.verdict is verdict
+            assert cert.stats == alt2.stats
+            if cert.witness is None:
+                assert alt2.witness is None
+                continue
+            steps = cert.witness.steps
+            assert cert.witness.mode == f"alternating {n}"
+            assert steps == alt2.witness.steps
+            assert check_refutation(b, cert.witness)
+            assert check_refutation(b, Refutation("alternating 2", steps))
+            seen["depth 2"] += not check_refutation(
+                b, Refutation("alternating 1", steps))
     assert min(seen.values()) > 50, seen
 
 
