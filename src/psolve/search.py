@@ -18,6 +18,13 @@ that can, and forces the other watch when no member is left.  Neither needs
 repair when assignments are undone, so backtracking only clears the
 assignments on the trail, which is also the propagation queue.
 
+The refuted-in rule goes past propagation.  Once "v in X" is refuted below
+an assignment P, any S-partition X extending P with v out holds an F-set f
+with f - {v} inside X, since X | {v} meets every E-set and extends the
+refuted branch.  So if every F-set holding v is a pair, v's out-branch fails
+when every F-partner of v is out, and puts the partner in X when just one is
+not out (the clause "v or a partner in X" is RAT on v).
+
 When every set has at most two members, the search stops at the first
 decision refuted both ways, as Even, Itai and Shamir's 2-SAT procedure does,
 so it decides such instances in O(|V| * sum of |set|) time.
@@ -43,9 +50,10 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     Vertices touched by no set are left out of X.  The others are compared
     by membership in id order, "in X" above "out": the depth-first search
     branches on the lowest unassigned vertex id, trying "in X" first, and
-    unit propagation only assigns what every extension of the current
-    assignment shares, so the first complete assignment it reaches is the
-    greatest one.  ``decide`` relies on this to make witnesses deterministic.
+    propagation and the refuted-in rule (module docstring) assign only what
+    every S-partition below the node shares, so the first complete
+    assignment it reaches is the greatest one.  ``decide`` relies on this to
+    make witnesses deterministic.
 
     When every set has at most two members, a decision refuted both ways
     refutes the instance, so the search returns None there without
@@ -64,6 +72,7 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     partners: list[list[int]] = [[] for _ in range(2 * n)]
     watches: list[list[list[int]]] = [[] for _ in range(2 * n)]
     units: list[tuple[int, int]] = []
+    wide: set[int] = set()  # vertices in an F-set of three or more members
     pairs_only = True
     for false_val, family in ((0, b.e_sets), (1, b.f_sets)):
         for s in family:
@@ -80,6 +89,8 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
                 partners[2 * w + false_val].append(u)
             else:
                 pairs_only = False
+                if false_val:
+                    wide.update(members)
                 watches[2 * members[0] + false_val].append(members)
                 watches[2 * members[1] + false_val].append(members)
     trail: list[int] = []
@@ -161,9 +172,10 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
                 if pairs_only:
                     # Propagation that ends without conflict leaves every
                     # pair it touched met, so the sets not yet met are input
-                    # sets on unassigned vertices alone.  Both values of
-                    # this vertex fail on them, so they have no model, and
-                    # neither does the instance.
+                    # sets on unassigned vertices alone, and a model of them
+                    # completes this node to an S-partition.  Both branches
+                    # of this vertex, the rule included, exclude every such
+                    # completion, so there is none, nor any S-partition.
                     return None
                 _, mark, _ = decisions.pop()
                 unwind(mark)
@@ -173,6 +185,14 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
             unwind(mark)
             decisions.append((v, mark, True))
             ok = place(v, 0)
+            if ok and v not in wide:
+                # "v in X" is refuted, so an F-partner of v is in X
+                held = {w for w in partners[2 * v + 1] if assign[w] != 0}
+                if not held:
+                    ok = False
+                elif len(held) == 1:
+                    w = held.pop()
+                    ok = assign[w] == 1 or place(w, 1)
             cursor = v
 
 
@@ -180,7 +200,9 @@ def decide_2sat(b: Bihypergraph) -> Certificate:
     """Polynomial decision for all-pairs instances (every set has <= 2
     members): the search of ``_search_witness``, which stops at the first
     decision refuted both ways on such instances, in O(|V| * sum of |set|)
-    time.  Its HasS witness is the search's, the lexicographically greatest
+    time.  The refuted-in rule may refute a decision's out-branch; it cuts
+    only subtrees holding no S-partition, so the stop stays sound.  Its HasS
+    witness is the search's, the lexicographically greatest
     S-partition.  A set of three or more members is a ``SetTooLargeError``.
     """
     for family in (b.e_sets, b.f_sets):
