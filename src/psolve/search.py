@@ -25,6 +25,22 @@ refuted branch.  So if every F-set holding v is a pair, v's out-branch fails
 when every F-partner of v is out, and puts the partner in X when just one is
 not out (the clause "v or a partner in X" is RAT on v).
 
+The search also remembers the nodes it has refuted, as formula caching
+does (Beame, Impagliazzo, Pitassi & Segerlind 2003).  At a node, after
+propagation, let U be the unassigned vertices and M the sets already met.
+A completion X of the node is an S-partition exactly when X & U is one of
+the residual instance {s & U : s not in M} on U: a set in M is met already,
+and a set not in M can be met only inside U.  The residual instance depends
+on U and M alone, so once a node is refuted both ways, a later node with
+the same U and M has no S-partition below it either, and the search counts
+it as a conflict.  Propagation without conflict meets every set of at most
+two members that has an assigned member, so U and the met sets of three or
+more members fix M, and a node's key packs just those two masks into one
+int.  On pigeonhole encodings, placements that differ only in hole order
+leave the same key.  A hit cuts only a subtree with no S-partition, so the
+search still reaches the greatest witness first, and the refuted-in rule
+and the all-pairs stop stay sound.
+
 When every set has at most two members, the search stops at the first
 decision refuted both ways, as Even, Itai and Shamir's 2-SAT procedure does,
 so it decides such instances in O(|V| * sum of |set|) time.
@@ -38,6 +54,12 @@ from .core import (Bihypergraph, Certificate, SPartition, Verdict, VertexSet,
                    check_s_partition)
 from .oracle import brute_force_decide
 from .resolution import Limits, decide_by_resolution
+
+
+# The most keys of refuted nodes _search_witness holds; one more empties
+# its cache.  Random 3-CNF adds keys and never hits them; PHP(9) via
+# from_sdr files about 13,000.
+_REFUTED_CAP = 1 << 16
 
 
 class SetTooLargeError(Exception):
@@ -55,10 +77,18 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     assignment it reaches is the greatest one.  ``decide`` relies on this to
     make witnesses deterministic.
 
+    A decision node refuted both ways files its key, the pair (assigned
+    vertices, met sets of three or more members), in a cache; a later node
+    with the same key has the same residual instance and so no S-partition
+    below it (module docstring), and counts as a conflict.  The key of a
+    node ORs the per-literal masks ``fold`` over the trail since the last
+    decision onto that decision's key, so ``place`` does no extra work.
+    The cache is emptied when it would exceed ``_REFUTED_CAP`` keys.
+
     When every set has at most two members, a decision refuted both ways
     refutes the instance, so the search returns None there without
-    backtracking further; a HasS instance never refutes a decision both
-    ways, so its search and witness are unchanged.
+    backtracking further, and builds no keys; a HasS instance never
+    refutes a decision both ways, so its search and witness are unchanged.
     """
     n = b.vertex_count
     assign = [0] * n  # -1 unknown, 1 in X, 0 out; vertices in no set stay out
@@ -74,6 +104,7 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     units: list[tuple[int, int]] = []
     wide: set[int] = set()  # vertices in an F-set of three or more members
     pairs_only = True
+    longer: list[tuple[list[int], int]] = []  # (members, value meeting it)
     for false_val, family in ((0, b.e_sets), (1, b.f_sets)):
         for s in family:
             members = list(s.members)
@@ -89,11 +120,23 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
                 partners[2 * w + false_val].append(u)
             else:
                 pairs_only = False
+                longer.append((members, 1 - false_val))
                 if false_val:
                     wide.update(members)
                 watches[2 * members[0] + false_val].append(members)
                 watches[2 * members[1] + false_val].append(members)
     trail: list[int] = []
+    if not pairs_only:
+        # fold[2*w + val] has w's bit and, above the n vertex bits, the bit
+        # of each longer set that w = val meets.  OR-ing it over the trail
+        # gives a node's key: its assigned vertices and its met longer sets.
+        fold = [1 << (lit >> 1) for lit in range(2 * n)]
+        bit = 1 << n
+        for members, met_val in longer:
+            for w in members:
+                fold[2 * w + met_val] |= bit
+            bit <<= 1
+    refuted: set[int] = set()  # keys of nodes refuted both ways
 
     def place(v: int, val: int) -> bool:
         """Assign v and propagate to a fixed point; False on conflict.
@@ -157,16 +200,26 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     for v, val in units:  # root assignments, never unwound
         if not place(v, val):
             return None
-    decisions: list[tuple[int, int, bool]] = []  # (vertex, trail mark, tried out-branch)
+    # (vertex, trail mark, tried out-branch, key of the node it branches)
+    decisions: list[tuple[int, int, bool, int]] = []
     cursor = 0
+    key = 0
     while True:
         while cursor < n and assign[cursor] != -1:
             cursor += 1
         if cursor == n:
             # every value is now 0 or 1: read them as binary digits
             return VertexSet(int("0" + "".join(map(str, reversed(assign))), 2))
-        decisions.append((cursor, len(trail), False))
-        ok = place(cursor, 1)
+        if not pairs_only:
+            # fold in what was assigned since the last decision's node
+            _, mark, _, key = decisions[-1] if decisions else (0, 0, False, 0)
+            for w in trail[mark:]:
+                key |= fold[2 * w + assign[w]]
+        if pairs_only or key not in refuted:
+            decisions.append((cursor, len(trail), False, key))
+            ok = place(cursor, 1)
+        else:
+            ok = False  # this residual instance was refuted before
         while not ok:
             while decisions and decisions[-1][2]:
                 if pairs_only:
@@ -177,13 +230,16 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
                     # of this vertex, the rule included, exclude every such
                     # completion, so there is none, nor any S-partition.
                     return None
-                _, mark, _ = decisions.pop()
+                _, mark, _, key = decisions.pop()
+                refuted.add(key)
+                if len(refuted) > _REFUTED_CAP:
+                    refuted.clear()
                 unwind(mark)
             if not decisions:
                 return None
-            v, mark, _ = decisions.pop()
+            v, mark, _, key = decisions.pop()
             unwind(mark)
-            decisions.append((v, mark, True))
+            decisions.append((v, mark, True, key))
             ok = place(v, 0)
             if ok and v not in wide:
                 # "v in X" is refuted, so an F-partner of v is in X

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from psolve import (Bihypergraph, Certificate, ResourceLimitError, Verdict,
                     VertexSet, build, resolution)
@@ -114,6 +115,47 @@ def reference_search_witness(b: Bihypergraph) -> int | None:
         return False
 
     return sum(1 << v for v in x) if extend(0) else None
+
+
+def unit_propagate(b: Bihypergraph, partial: dict[int, int]) -> dict[int, int] | None:
+    """``partial`` (vertex -> 1 in X, 0 out) closed under the search's unit
+    rules, by rescanning every set until nothing changes: an E-set with no
+    member in X and one unassigned member puts it in, an F-set with no
+    member out and one unassigned member puts it out.  None when some set
+    has every member assigned and is not met."""
+    assigned = dict(partial)
+    changed = True
+    while changed:
+        changed = False
+        for family, met in ((b.e_sets, 1), (b.f_sets, 0)):
+            for s in family:
+                if any(assigned.get(v) == met for v in s.members):
+                    continue
+                free = [v for v in s.members if v not in assigned]
+                if not free:
+                    return None
+                if len(free) == 1:
+                    assigned[free[0]] = met
+                    changed = True
+    return assigned
+
+
+def count_calls(code_name: str, fn, *args):
+    """``fn(*args)`` and the number of calls made during it to functions
+    whose code is named ``code_name``, counted through ``sys.setprofile``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == code_name:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 def has_s(b: Bihypergraph) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 import subprocess
@@ -12,11 +13,11 @@ from psolve import (CnfFormula, ColoringInstance, Refutation, SdrInstance,
                     from_list_coloring, from_sdr, search)
 from psolve.search import SetTooLargeError, _search_witness, with_refutation
 
-from helpers import (all_s_partitions, exhaustive_small_instances,
+from helpers import (all_s_partitions, count_calls, exhaustive_small_instances,
                      greatest_cnf_assignment, greatest_color_sets,
                      greatest_list_color_sets, greatest_sdr_sets,
                      rand_instance, reference_search_witness, shuffled_sets,
-                     six_clause_instance)
+                     six_clause_instance, unit_propagate)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -163,6 +164,83 @@ class TestSearchWitness:
                         assert partners & x
         assert min(seen.values()) > 50, seen
 
+    def test_refuted_node_key_soundness(self):
+        # The search files a refuted node under its key: the vertices
+        # assigned and the sets of three or more members met, after
+        # propagation.  Propagated assignments with equal keys meet the same
+        # sets, pairs and units included, so they leave the same residual
+        # instance on the unassigned vertices, and brute force finds them
+        # the same S-partition completions there.  Random assignments cover
+        # small random instances; pigeons placed in the same holes in other
+        # orders share keys too, with completions when there are as many
+        # holes as pigeons and without when there is one hole fewer.
+        rng = random.Random(61)
+        candidates = []
+        for made in range(150):
+            if made % 3 == 0:
+                b = rand_instance(rng, max_vertices=8, max_sets=7, max_size=4)
+            elif made % 3 == 1:
+                elements = [f"e{j}" for j in range(rng.randint(2, 3))]
+                labels = tuple(f"s{i}" for i in range(rng.randint(2, 4)))
+                b = from_sdr(SdrInstance(labels, tuple(
+                    tuple(rng.sample(elements, rng.randint(1, len(elements))))
+                    for _ in labels))).bihypergraph
+            else:
+                n = rng.randint(3, 4)
+                b = from_cnf(CnfFormula(n, tuple(
+                    tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, n + 1), rng.randint(2, 3)))
+                    for _ in range(rng.randint(n, 3 * n))))).bihypergraph
+            partials = []
+            for _ in range(8):
+                chosen = rng.sample(range(b.vertex_count),
+                                    rng.randint(1, min(b.vertex_count, 4)))
+                partials += [{v: values >> i & 1 for i, v in enumerate(chosen)}
+                             for values in range(1 << len(chosen))]
+            candidates.append((b, partials))
+        for pigeons, holes in ((5, 4), (6, 5), (4, 4), (5, 5)):
+            b = from_sdr(SdrInstance(tuple(f"p{i}" for i in range(pigeons)),
+                                     (tuple(f"h{j}" for j in range(holes)),) * pigeons)
+                         ).bihypergraph
+            partials = [{b.id_of(f"h{j}@p{i}"): int(j == hole)
+                         for i, hole in enumerate(placed) for j in range(holes)}
+                        for placed_count in range(1, pigeons)
+                        for placed in itertools.permutations(range(holes), placed_count)]
+            candidates.append((b, partials))
+        shared = {"with_completions": 0, "without": 0}
+        for b, partials in candidates:
+            n = b.vertex_count
+            sets = [(s.mask, 1) for s in b.e_sets] + [(s.mask, 0) for s in b.f_sets]
+            groups: dict[tuple, dict[tuple, frozenset[int]]] = {}
+            for partial in partials:
+                assigned = unit_propagate(b, partial)
+                if assigned is None:
+                    continue
+                inside = sum(1 << v for v, val in assigned.items() if val)
+                outside = sum(1 << v for v, val in assigned.items() if not val)
+                met = frozenset(i for i, (mask, val) in enumerate(sets)
+                                if mask & (inside if val else outside))
+                key = (inside | outside,
+                       frozenset(i for i in met if sets[i][0].bit_count() >= 3))
+                groups.setdefault(key, {})[(inside, outside)] = met
+            for (done, _), found in groups.items():
+                if len(found) < 2:
+                    continue
+                assert len(set(found.values())) == 1
+                free = [v for v in range(n) if not done >> v & 1]
+                completions = set()
+                for inside, _ in found:
+                    completions.add(frozenset(
+                        extra for extra in (sum(1 << v for v in subset)
+                                            for r in range(len(free) + 1)
+                                            for subset in itertools.combinations(free, r))
+                        if all(mask & (inside | extra) if val
+                               else mask & ~(inside | extra)
+                               for mask, val in sets)))
+                assert len(completions) == 1
+                shared["with_completions" if completions.pop() else "without"] += 1
+        assert min(shared.values()) > 20, shared
+
     def test_matches_reference_search(self):
         # The witness is the lexicographically greatest S-partition with
         # set-free vertices out, whatever the propagation does.
@@ -210,6 +288,37 @@ def _witness_everywhere(b, rng, shuffles: int = 3) -> int | None:
     return x
 
 
+def _backtracking_corpus(rng, count: int):
+    """``count`` each of: SDR families of 2 to 5 elements with up to two
+    more sets than elements, random 3-CNF on 4 to 8 variables at clause
+    ratios 3 to 6, and ``rand_instance``s.  The search backtracks on many of
+    them and revisits residual instances it has refuted."""
+    for _ in range(count):
+        k = rng.randint(2, 5)
+        elements = [f"e{j}" for j in range(k)]
+        labels = tuple(f"s{i}" for i in range(rng.randint(2, k + 2)))
+        yield from_sdr(SdrInstance(labels, tuple(
+            tuple(rng.sample(elements, rng.randint(1, k))) for _ in labels))).bihypergraph
+        n = rng.randint(4, 8)
+        yield from_cnf(CnfFormula(n, tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(round(rng.uniform(3, 6) * n))))).bihypergraph
+        yield rand_instance(rng, max_vertices=12, max_sets=10, max_size=4)
+
+
+def _pigeonhole(rng, holes: int):
+    """PHP(holes) via from_sdr: one more pigeon than holes, each listing
+    every hole in a seeded order."""
+    names = tuple(f"h{j}" for j in range(holes))
+    return from_sdr(SdrInstance(tuple(f"p{i}" for i in range(holes + 1)),
+                                tuple(tuple(rng.sample(names, holes))
+                                      for _ in range(holes + 1)))).bihypergraph
+
+
+def _place_calls(instances) -> int:
+    return count_calls("place", lambda: [_search_witness(b) for b in instances])[1]
+
+
 class TestDeepBacktracking:
     """Instances on which the search backtracks often (about a hundred
     times per formula), so that watch lists are reordered and partner lists
@@ -241,14 +350,16 @@ class TestDeepBacktracking:
                 assert formula.is_satisfied_by(enc.assignment_from_partition(x))
         assert verdicts == {Verdict.HAS_S, Verdict.FAILS_S}
 
-    def test_refuted_in_rule_prunes(self):
-        """The search's ``place`` calls, counted by code name, over the
-        formulas of ``test_random_3cnf`` (whose witnesses are pinned there)
-        and over twelve 3-colourings of random graphs on 20 vertices and 44
-        edges (whose witnesses are checked here).  The refuted-in rule cuts
-        them from 1,317 to 689 and from 1,971 to 1,399.  Only the colourings
-        reach the rule's conflict, where every F-partner of the flipped
-        vertex is already out: without it they take 1,943 calls."""
+    def test_refuted_in_rule_prunes(self, monkeypatch):
+        """The search's ``place`` calls over the formulas of
+        ``test_random_3cnf`` (whose witnesses are pinned there) and over
+        twelve 3-colourings of random graphs on 20 vertices and 44 edges
+        (whose witnesses are checked here).  The refuted-in rule cuts them
+        from 1,317 to 689 and from 1,971 to 1,399.  Only the colourings reach
+        the rule's conflict, where every F-partner of the flipped vertex is
+        already out: without it they take 1,943 calls.  The cache of refuted
+        nodes then takes the colourings from 1,399 to 1,377; with the cache
+        off (a cap of 0) the counts are the rule's alone."""
         rng = random.Random(73)
         formulas = []
         for _ in range(12):
@@ -269,22 +380,9 @@ class TestDeepBacktracking:
             b = from_graph_coloring(
                 ColoringInstance(vertices, edges, colors=3)).bihypergraph
             graphs.append((b, greatest_color_sets(vertices, edges, palette)))
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code.co_name == "place":
-                calls += 1
-
-        sys.setprofile(count)
-        try:
-            for b in formulas:
-                _search_witness(b)
-            cnf_calls, calls = calls, 0
-            found = [_search_witness(b) for b, _ in graphs]
-        finally:
-            sys.setprofile(None)
-        assert (cnf_calls, calls) == (689, 1399)
+        found, calls = count_calls(
+            "place", lambda: [_search_witness(b) for b, _ in graphs])
+        assert (_place_calls(formulas), calls) == (689, 1377)
         for (b, expected), x in zip(graphs, found):
             if expected is None:
                 assert x is None
@@ -293,6 +391,47 @@ class TestDeepBacktracking:
                                         if b.id_of(f"{a}@{c}") in x}
                                     for a in vertices}
         assert sum(x is None for x in found) == 9
+        monkeypatch.setattr(search, "_REFUTED_CAP", 0)
+        assert (_place_calls(formulas),
+                _place_calls([b for b, _ in graphs])) == (689, 1399)
+
+    def test_refuted_node_cache_prunes_pigeonhole(self, monkeypatch):
+        """Placements that differ only in hole order leave the same residual
+        instance, so the cache refutes each such instance once.  PHP(7)
+        takes 3,400 ``place`` calls and PHP(6) 1,114; with the cache off,
+        PHP(6) takes 6,490."""
+        rng = random.Random(113)
+        php6, php7 = _pigeonhole(rng, 6), _pigeonhole(rng, 7)
+        assert _search_witness(php6) is None and _search_witness(php7) is None
+        assert (_place_calls([php6]), _place_calls([php7])) == (1114, 3400)
+        monkeypatch.setattr(search, "_REFUTED_CAP", 0)
+        assert _place_calls([php6]) == 6490
+
+    def test_refuted_node_cache_matches_reference(self, monkeypatch):
+        # Witnesses equal the plain search's on 3,000 instances that revisit
+        # refuted residual instances: the search makes fewer place calls
+        # with the cache than with it off, so the cache was hit.  A key
+        # missing its met sets, or its assigned vertices, gives mismatches.
+        corpus = list(_backtracking_corpus(random.Random(113), 1000))
+        verdicts = set()
+        for b in corpus:
+            expected = reference_search_witness(b)
+            assert _mask(_search_witness(b)) == expected
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+        cached = _place_calls(corpus)
+        monkeypatch.setattr(search, "_REFUTED_CAP", 0)
+        assert _place_calls(corpus) > cached
+
+    def test_small_refuted_cap_clears(self, monkeypatch):
+        # A cache that empties whenever it would pass the cap loses hits,
+        # so PHP(6) takes more place calls than under the real cap, and
+        # still the witnesses equal the plain search's.
+        monkeypatch.setattr(search, "_REFUTED_CAP", 64)
+        assert _place_calls([_pigeonhole(random.Random(113), 6)]) == 4310
+        monkeypatch.setattr(search, "_REFUTED_CAP", 3)
+        for b in _backtracking_corpus(random.Random(127), 300):
+            assert _mask(_search_witness(b)) == reference_search_witness(b)
 
     def test_random_graph_3_coloring(self):
         rng = random.Random(79)
