@@ -15,13 +15,18 @@ from typing import Any, Iterable, Iterator
 # Characters with structural meaning in the text formats; names and labels
 # may not contain them.
 _FORBIDDEN_CHARS = frozenset(" \t\r\n\f\v#:,/<")
+# The forbidden characters a printable string can hold (" #:,/<"); the
+# others are whitespace that ``str.isprintable`` already rejects.
+_PRINTABLE_FORBIDDEN = tuple(c for c in _FORBIDDEN_CHARS if c.isprintable())
 
 
 def check_token(token: str, what: str = "name") -> str:
     """Validate a vertex name or label for use in the line-oriented formats.
 
-    This is the one token predicate.  ``Bihypergraph`` applies it to every
-    name and label it holds; the text parsers apply it once per distinct
+    This is the one token predicate.  Every rule applies to the whole token
+    (not a ``str``, empty, ``{}``) or to each character on its own
+    (non-printable, forbidden), which is what lets ``check_distinct`` test a
+    whole family at once.  The text parsers apply it once per distinct
     token, at its first occurrence, so they can report the line; the
     encoders' input types apply it to their own names.
     """
@@ -38,8 +43,27 @@ def check_token(token: str, what: str = "name") -> str:
 def check_distinct(tokens: Iterable[str], what: str,
                    repeat: str | None = None) -> dict[str, int]:
     """``check_token`` each of ``tokens`` in order and reject the first
-    repeat ("duplicate <repeat or what>"); returns each token's position."""
-    index: dict[str, int] = {}
+    repeat ("duplicate <repeat or what>"); returns each token's position.
+
+    A valid family passes in one test of the whole: the tokens join (all
+    are ``str``), the join is printable and holds none of the printable
+    forbidden characters (so each token is and does; every other forbidden
+    character is non-printable), the position dict has one entry per
+    token, and neither ``""`` nor ``{}`` is among them.  That is exactly
+    "every token passes ``check_token`` and none repeats", so only a family
+    that fails it is walked token by token, to raise the same first error.
+    """
+    tokens = tuple(tokens)
+    try:
+        joined = "".join(tokens)
+    except TypeError:
+        joined = None
+    if (joined is not None and joined.isprintable()
+            and not any(c in joined for c in _PRINTABLE_FORBIDDEN)):
+        index = dict(zip(tokens, range(len(tokens))))
+        if len(index) == len(tokens) and "" not in index and "{}" not in index:
+            return index
+    index = {}
     for i, token in enumerate(tokens):
         check_token(token, what)
         if token in index:

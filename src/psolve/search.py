@@ -89,6 +89,14 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     refutes the instance, so the search returns None there without
     backtracking further, and builds no keys; a HasS instance never
     refutes a decision both ways, so its search and witness are unchanged.
+
+    A set of at most two members is read from its mask's end bits, the
+    lowest and the highest, rather than by walking every bit below its top
+    (a pair of an all-pairs instance of 3,000 vertices is a 3,000-bit
+    mask).  Those are its members in ``members`` order, so each pair is
+    filed in the same set order, with the same append to each partner list,
+    and the partner lists, the propagation order and the witness are those
+    of a member walk.
     """
     n = b.vertex_count
     assign = [0] * n  # -1 unknown, 1 in X, 0 out; vertices in no set stay out
@@ -107,18 +115,24 @@ def _search_witness(b: Bihypergraph) -> VertexSet | None:
     longer: list[tuple[list[int], int]] = []  # (members, value meeting it)
     for false_val, family in ((0, b.e_sets), (1, b.f_sets)):
         for s in family:
-            members = list(s.members)
-            if not members:
+            m = s.mask
+            if not m:
                 return None  # an empty set can never be met
-            for w in members:
-                assign[w] = -1
-            if len(members) == 1:
-                units.append((members[0], 1 - false_val))
-            elif len(members) == 2:
-                u, w = members
-                partners[2 * u + false_val].append(w)
-                partners[2 * w + false_val].append(u)
+            size = m.bit_count()
+            if size <= 2:
+                # its members are its lowest and highest bits, u <= w
+                u = (m & -m).bit_length() - 1
+                w = m.bit_length() - 1
+                assign[u] = assign[w] = -1
+                if size == 1:
+                    units.append((u, 1 - false_val))
+                else:
+                    partners[2 * u + false_val].append(w)
+                    partners[2 * w + false_val].append(u)
             else:
+                members = list(s.members)
+                for w in members:
+                    assign[w] = -1
                 pairs_only = False
                 longer.append((members, 1 - false_val))
                 if false_val:

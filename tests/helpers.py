@@ -31,6 +31,18 @@ def reference_check_token(token, what: str = "name"):
     return token
 
 
+def reference_check_distinct(tokens, what: str, repeat: str | None = None) -> dict[str, int]:
+    """Reference for ``psolve.core.check_distinct``: the per-token walk it
+    falls back to, and once was, with no test of the whole family."""
+    index: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        check_token(token, what)
+        if token in index:
+            raise ValueError(f"duplicate {repeat or what} {token!r}")
+        index[token] = i
+    return index
+
+
 def reference_build(names=(), e_sets=(), f_sets=(), e_labels=None,
                     f_labels=None) -> Bihypergraph:
     """Reference for ``psolve.build``: the version that checked each name

@@ -141,9 +141,10 @@ class TestTokenChecks:
 
 
 def test_check_token_counts(monkeypatch):
-    """``Bihypergraph`` is the one check of the names and labels it holds:
-    ``build`` adds no call, and ``parse_instance_text`` adds one per
-    distinct name and explicit label, for the line number."""
+    """On valid input, ``build`` and ``Bihypergraph`` make no per-token
+    call (``check_distinct`` passes the whole family at once), and
+    ``parse_instance_text`` makes one per distinct name and explicit label,
+    for the line number."""
     calls = []
 
     def counting(token, what="name"):
@@ -158,14 +159,14 @@ def test_check_token_counts(monkeypatch):
         held = len(b.names) + len(b.e_sets) + len(b.f_sets)
         calls.clear()
         assert build(b.names, map(b.names_of, b.e_sets), map(b.names_of, b.f_sets)) == b
-        assert len(calls) == held
+        assert len(calls) == 0
         calls.clear()
         assert parse_instance_text(format_instance(b)) == b
-        assert len(calls) == 2 * held
+        assert len(calls) == held
     calls.clear()
     b = parse_instance_text("v a\ne a b\ne L: b c\nf c a\nf b d\n")
     assert b.names == ("a", "b", "c", "d")
-    assert len(calls) == (4 + 1) + (4 + 4)
+    assert len(calls) == 4 + 1
 
 
 class TestDecideCommand:

@@ -4,16 +4,17 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psolve import (Bihypergraph, ColoringInstance, SPartition, SdrInstance,
                     Verdict, VertexSet, build, check_s_partition,
                     family_intersection, is_transversal, validate)
-from psolve.core import Antichain, check_token
+from psolve.core import Antichain, check_distinct, check_token
 
 from helpers import (LinearAntichain, all_s_partitions, reference_build,
-                     reference_check_token, six_clause_instance)
+                     reference_check_distinct, reference_check_token,
+                     six_clause_instance)
 
 
 def _outcome(check, *args):
@@ -39,6 +40,63 @@ _TOKENS = st.one_of(
 def test_check_token_matches_reference(token, what):
     assert _outcome(check_token, token, what) == \
         _outcome(reference_check_token, token, what)
+
+
+class _Str(str):
+    pass
+
+
+_FAMILY_TOKENS = _TOKENS | st.builds(_Str, st.text(max_size=4))
+_WHAT = st.sampled_from(["vertex name", "label", "graph vertex"])
+_REPEAT = st.sampled_from([None, "E-label", "F-label"])
+
+
+def _family_outcome(check, tokens, what, repeat):
+    """The accepted index as (token, position) pairs in order, or the error."""
+    try:
+        return ("accepted", list(check(tokens, what, repeat).items()))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def _families(draw):
+    """Short tuples of arbitrary tokens, some with a repeat (possibly as a
+    ``str`` subclass) inserted."""
+    tokens = draw(st.lists(_FAMILY_TOKENS, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        if tokens:
+            token = tokens[draw(st.integers(0, len(tokens) - 1))]
+            if isinstance(token, str) and draw(st.booleans()):
+                token = _Str(token)
+            tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return tuple(tokens)
+
+
+@st.composite
+def _wide_families(draw):
+    """At least 1,000 valid distinct names with one fault, a drawn token or
+    a repeat of another name, at a random position."""
+    tokens = [f"n{i}" for i in range(draw(st.integers(1000, 1100)))]
+    at = draw(st.integers(0, len(tokens) - 1))
+    if draw(st.booleans()):
+        tokens[at] = tokens[draw(st.integers(0, len(tokens) - 1))]
+    else:
+        tokens[at] = draw(_TOKENS | st.sampled_from(["a b", "{}", "", "a\tb"]))
+    return tuple(tokens)
+
+
+@given(_families() | _wide_families(), _WHAT, _REPEAT)
+@example(("a", "b c"), "vertex name", None)
+@example(("a", "{}"), "label", "E-label")
+@example(("a", "b", _Str("a")), "label", "F-label")
+@settings(max_examples=500, deadline=None)
+def test_check_distinct_matches_reference(tokens, what, repeat):
+    """The one-pass test of a whole family accepts exactly what the
+    per-token walk accepts, with the same index, and otherwise raises the
+    walk's first error."""
+    assert _family_outcome(check_distinct, tokens, what, repeat) == \
+        _family_outcome(reference_check_distinct, tokens, what, repeat)
 
 
 class TestVertexSet:

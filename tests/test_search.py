@@ -605,6 +605,83 @@ class TestDeepBacktracking:
         assert verdicts == {True, False}
 
 
+def _wide_instance(rng, sizes):
+    """A seeded instance on 3,010 to 3,200 vertices whose sets draw their
+    members from three low ids and nine ids past 3,000, so each set's mask
+    spans thousands of bits, with set sizes drawn from ``sizes``; some get a
+    1-member set, a set that lists one name twice, or an empty set."""
+    n = rng.randint(3010, 3200)
+    names = [f"v{i}" for i in range(n)]
+    touched = [names[v] for v in rng.sample(range(8), 3) + rng.sample(range(3001, n), 9)]
+
+    def family():
+        return [rng.sample(touched, rng.choice(sizes)) for _ in range(rng.randint(2, 10))]
+
+    e_sets, f_sets = family(), family()
+    roll = rng.random()
+    if roll < 0.3:
+        (e_sets if rng.random() < 0.5 else f_sets).append(rng.sample(touched, 1))
+    elif roll < 0.6:
+        (e_sets if rng.random() < 0.5 else f_sets).append([rng.choice(touched)] * 2)
+    elif roll < 0.65:
+        (e_sets if rng.random() < 0.5 else f_sets).append([])
+    return build(names, e_sets, f_sets)
+
+
+class TestWideInstances:
+    """Sets of at most two members are filed from their masks' end bits;
+    on masks of thousands of bits the witness must still be the reference's.
+    The reference recurses once per vertex, so its limit is raised."""
+
+    @pytest.fixture(autouse=True)
+    def deep_reference(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))
+        yield
+        sys.setrecursionlimit(limit)
+
+    def test_pairs_only_match_reference(self):
+        rng = random.Random(127)
+        verdicts = set()
+        for _ in range(40):
+            b = _wide_instance(rng, (2,))
+            expected = reference_search_witness(b)
+            assert _mask(_search_witness(b)) == expected
+            cert = decide_2sat(b)
+            assert (cert.verdict is Verdict.HAS_S) is (expected is not None)
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    def test_pairs_and_longer_sets_match_reference(self):
+        rng = random.Random(131)
+        verdicts = set()
+        for _ in range(40):
+            b = _wide_instance(rng, (2, 2, 2, 3, 4))
+            expected = reference_search_witness(b)
+            assert _mask(_search_witness(b)) == expected
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    def test_short_and_empty_sets(self):
+        names = [f"v{i}" for i in range(3005)]
+        for e_sets, f_sets in (
+                ([["v3004"]], [["v2", "v3004"]]),
+                ([["v3003", "v3003"], ["v1", "v3004"]], [["v1", "v3003"]]),
+                ([["v0", "v3004"], []], []),
+                ([["v3002", "v3004"]], [[], ["v0"]]),
+        ):
+            b = build(names, e_sets, f_sets)
+            assert _mask(_search_witness(b)) == reference_search_witness(b)
+
+    def test_2sat_rejects_a_wide_triple(self):
+        names = [f"v{i}" for i in range(3005)]
+        b = build(names, [["v1", "v3002"], ["v1", "v3001", "v3004"]], [])
+        with pytest.raises(SetTooLargeError) as info:
+            decide_2sat(b)
+        assert str(info.value) == ("set VertexSet.of([1, 3001, 3004]) has 3 members;"
+                                   " the 2-SAT path needs <= 2")
+
+
 class TestDecide2Sat:
     def test_shared_pair(self):
         b = build(["a", "b"], [["a", "b"]], [["a", "b"]])
